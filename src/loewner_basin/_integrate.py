@@ -52,6 +52,15 @@ _MAX_FACTOR = 10.0
 _HMIN_REL = 1e-14    # step floor relative to max(1, |tau|)
 
 
+def check_tol(tol: float, name: str = "tolerance") -> float:
+    """Return ``tol`` as a float if it lies in [1e-14, 1e-2], the range
+    every integrator, quadrature and CLI tolerance shares."""
+    tol = float(tol)
+    if not 1e-14 <= tol <= 1e-2:
+        raise InvalidInputError(f"{name} {tol} outside [1e-14, 1e-2]")
+    return tol
+
+
 @dataclass
 class StepStats:
     """Counters accumulated over one integration call."""
@@ -129,8 +138,7 @@ def integrate_adaptive(rhs, s: float, t: float, y0: np.ndarray, tol: float,
     """
     if not np.isfinite(s) or not np.isfinite(t) or t < s:
         raise InvalidInputError(f"bad time span [{s}, {t}]")
-    if not (1e-14 <= tol <= 1e-2):
-        raise InvalidInputError(f"tolerance {tol} outside [1e-14, 1e-2]")
+    tol = check_tol(tol)
     if atol is None:
         atol = ATOL_FLOOR
     elif not 0.0 <= atol <= 1e-2:

@@ -37,10 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integrate import check_tol
 from .errors import (ChainUnavailableError, HorizonExhaustedError,
                      InvalidInputError)
 from .fields import FieldSpec
-from .flow import _check_tol, _evolve_one
+from .flow import _evolve_one
 from .linear import InverseTransitionProduct, transition_matrix
 from .schedule import Schedule
 
@@ -103,8 +104,8 @@ class ChainEvaluator:
             raise InvalidInputError("field dimension mismatch")
         self.field = field
         self.schedule = schedule
-        self.tol_chain = _check_tol(tol_chain)
-        self.tol_ode = _check_tol(tol_ode)
+        self.tol_chain = check_tol(tol_chain)
+        self.tol_ode = check_tol(tol_ode)
         self._lock = threading.Lock()
         self._factors: list[np.ndarray] = []
         self._prefixes: list[InverseTransitionProduct] = [

@@ -38,6 +38,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._integrate import check_tol
 from .chain import ChainEvaluator
 from .errors import (ChainUnavailableError, DegenerateTransitionError,
                      EscapeError, FieldRejectedError, HorizonExhaustedError,
@@ -49,7 +50,7 @@ from .fields import (FieldSpec, SamplePlan, builtin_field, class_n_check,
                      remainder_order_check)
 from .flow import (FlowRequest, decay_bounds_check, evolve, semigroup_defect,
                    trace)
-from .linear import VERDICT_VIOLATED, classify_hypotheses
+from .linear import VERDICT_VIOLATED, LinearPath, classify_hypotheses
 from .schedule import build_schedule, contraction_check
 
 SCHEMA_VERSION = 1
@@ -195,10 +196,7 @@ def _load_field(args) -> tuple[FieldSpec, dict]:
 
 def _check_run_config(args):
     for name in ("tol_ode", "tol_quad", "tol_chain"):
-        v = getattr(args, name)
-        if not 1e-14 <= v <= 1e-2:
-            raise InvalidInputError(
-                f"--{name.replace('_', '-')} {v} outside [1e-14, 1e-2]")
+        check_tol(getattr(args, name), f"--{name.replace('_', '-')}")
     if not 1 <= args.horizon <= 10000:
         raise InvalidInputError(
             f"--horizon {args.horizon} outside [1, 10000]")
@@ -340,10 +338,9 @@ def _linear_path(field: FieldSpec, args):
     # rebuild the mass-integral caches at the requested quadrature
     # tolerance (constant paths integrate analytically, keep them)
     if field.linear.quad_tol != args.tol_quad and not field.linear.is_constant:
-        from .linear import LinearPath
-        return LinearPath.from_callable(field.dim, field.linear.A,
-                                        breakpoints=field.linear.breakpoints,
-                                        quad_tol=args.tol_quad)
+        return LinearPath(field.dim, field.linear.evaluate,
+                          breakpoints=field.linear.breakpoints,
+                          quad_tol=args.tol_quad)
     return field.linear
 
 

@@ -225,11 +225,13 @@ def _diagonal_periodic(params: dict) -> FieldSpec:
     if extra:
         raise InvalidInputError(f"unknown diagonal-periodic params: {sorted(extra)}")
 
-    def evaluate(t: float) -> np.ndarray:
-        return np.diag(base + amplitude * np.sin(frequency * t + phase)
-                       ).astype(complex)
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        As = np.zeros((ts.size, q * q), dtype=complex)
+        As[:, ::q + 1] = base + amplitude * np.sin(ts[:, None] * frequency
+                                                   + phase)
+        return As.reshape(ts.size, q, q)
 
-    path = LinearPath.from_callable(q, evaluate)
+    path = LinearPath(q, evaluate)
     return FieldSpec(dim=q, linear=path, remainder=_zero_remainder,
                      quadratic=np.zeros((q, q, q), dtype=complex),
                      family_tag="diagonal-periodic")
@@ -612,7 +614,10 @@ def parse_field_config(cfg: dict) -> FieldSpec:
     blocks_cfg = cfg["linear"]
     if not isinstance(blocks_cfg, list) or not blocks_cfg:
         raise InvalidInputError("linear must be a non-empty list of blocks")
-    blocks = []  # (until or None, kind, payload)
+    zero = np.zeros((q, q), dtype=complex)
+    # (until or None, base, sin, cos, frequency); a constant block is a
+    # trig block with zero sin and cos parts
+    blocks = []
     prev_until = 0.0
     for bi, blk in enumerate(blocks_cfg):
         if not isinstance(blk, dict):
@@ -633,35 +638,33 @@ def parse_field_config(cfg: dict) -> FieldSpec:
             if extra:
                 raise InvalidInputError(
                     f"unknown keys in linear block {bi}: {sorted(extra)}")
-            blocks.append((until, "const",
-                           _parse_matrix(blk["constant"], q, f"block {bi}")))
+            blocks.append((until,
+                           _parse_matrix(blk["constant"], q, f"block {bi}"),
+                           zero, zero, 0.0))
         else:
             extra = set(blk) - _TRIG_BLOCK_KEYS
             if extra:
                 raise InvalidInputError(
                     f"unknown keys in linear block {bi}: {sorted(extra)}")
             base = _parse_matrix(blk["base"], q, f"block {bi} base") \
-                if "base" in blk else np.zeros((q, q), dtype=complex)
+                if "base" in blk else zero
             sinM = _parse_matrix(blk["sin"], q, f"block {bi} sin") \
-                if "sin" in blk else np.zeros((q, q), dtype=complex)
+                if "sin" in blk else zero
             cosM = _parse_matrix(blk["cos"], q, f"block {bi} cos") \
-                if "cos" in blk else np.zeros((q, q), dtype=complex)
+                if "cos" in blk else zero
             freq = float(blk.get("frequency", 1.0))
-            blocks.append((until, "trig", (base, sinM, cosM, freq)))
-    block_edges = [b[0] for b in blocks if b[0] is not None]
-    breakpoints = sorted(set(breakpoints) | set(block_edges))
+            blocks.append((until, base, sinM, cosM, freq))
+    block_edges = np.array([b[0] for b in blocks[:-1]])
+    breakpoints = sorted(set(breakpoints) | set(block_edges.tolist()))
+    coeffs = np.array([b[1:4] for b in blocks])    # (blocks, 3, q, q)
+    freqs = np.array([b[4] for b in blocks])
 
-    def _block_value(kind, payload, t):
-        if kind == "const":
-            return payload
-        base, sinM, cosM, freq = payload
-        return base + math.sin(freq * t) * sinM + math.cos(freq * t) * cosM
-
-    def eval_A(t: float) -> np.ndarray:
-        for until, kind, payload in blocks:
-            if until is None or t < until:
-                return _block_value(kind, payload, t)
-        return _block_value(blocks[-1][1], blocks[-1][2], t)
+    def eval_A(ts: np.ndarray) -> np.ndarray:
+        # block i covers [until_{i-1}, until_i); the last one is open
+        which = np.searchsorted(block_edges, ts, side="right")
+        wt = (freqs[which] * ts)[:, None, None]
+        base, sinM, cosM = np.swapaxes(coeffs[which], 0, 1)
+        return base + np.sin(wt) * sinM + np.cos(wt) * cosM
 
     quad_cfg = cfg.get("quadratic", [])
     if not isinstance(quad_cfg, list):
@@ -718,9 +721,9 @@ def parse_field_config(cfg: dict) -> FieldSpec:
                 Hq[o, kk, j] += 0.5 * val
         return Hq
 
-    path = LinearPath.constant(blocks[0][2]) \
-        if len(blocks) == 1 and blocks[0][1] == "const" \
-        else LinearPath.from_callable(q, eval_A, breakpoints=breakpoints)
+    path = LinearPath.constant(coeffs[0, 0]) \
+        if len(blocks) == 1 and "constant" in blocks_cfg[0] \
+        else LinearPath(q, eval_A, breakpoints=breakpoints)
     return FieldSpec(dim=q, linear=path, remainder=remainder,
                      quadratic=quadratic_at if records else
                      np.zeros((q, q, q), dtype=complex),

@@ -28,14 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import StepStats, integrate_adaptive
+from ._integrate import StepStats, check_tol, integrate_adaptive
 from .errors import InvalidInputError
 from .fields import C_of, FieldSpec, c_of
 
 #: states may not come within this distance of the unit sphere
 ESCAPE_MARGIN = 1e-9
-
-_TOL_RANGE = (1e-14, 1e-2)
 
 
 def _check_times(s: float, t: float) -> tuple[float, float]:
@@ -46,14 +44,6 @@ def _check_times(s: float, t: float) -> tuple[float, float]:
     if s < 0.0 or t < s:
         raise InvalidInputError(f"need 0 <= s <= t, got s={s}, t={t}")
     return s, t
-
-
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise InvalidInputError(
-            f"tolerance {tol} outside [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
-    return tol
 
 
 def _check_points(points, dim: int) -> np.ndarray:
@@ -89,7 +79,7 @@ class FlowRequest:
         s, t = _check_times(self.s, self.t)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "tol", _check_tol(self.tol))
+        object.__setattr__(self, "tol", check_tol(self.tol))
         pts = _check_points(self.points, self.field.dim)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -164,7 +154,7 @@ def trace(field: FieldSpec, s: float, t: float, z, tol: float = 1e-10
         times.append(float(tau))
         states.append(y)
 
-    w, _ = _evolve_one(field, s, t, z, _check_tol(tol), on_step=on_step)
+    w, _ = _evolve_one(field, s, t, z, check_tol(tol), on_step=on_step)
     if not times or times[-1] != t:
         times.append(t)
         states.append(w)
@@ -243,7 +233,7 @@ def decay_bounds_check(field: FieldSpec, s: float, t: float, points,
     radii = np.linalg.norm(pts, axis=1)
     if np.any(radii == 0.0):
         raise InvalidInputError("decay bounds need nonzero start points")
-    tol = _check_tol(tol)
+    tol = check_tol(tol)
     M_int = field.linear.M(t) - field.linear.M(s)
     K_int = field.linear.K(t) - field.linear.K(s)
     slack_log = field.linear.quad_tol + 20.0 * tol
@@ -317,7 +307,7 @@ def jet2_transition(field: FieldSpec, s: float, t: float,
     derivative of -h(w, tau) along w = J z + Q(z, z) + O(3).
     """
     s, t = _check_times(s, t)
-    tol = _check_tol(tol)
+    tol = check_tol(tol)
     q = field.dim
     nJ = q * q
 

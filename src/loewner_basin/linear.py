@@ -6,14 +6,17 @@ discretization.  This module provides
 
 * ``hermitian_bounds``: the extreme values m(A) <= k(A) of the real
   inner product Re<A z, z> over the unit sphere, computed as the
-  eigenvalue extremes of the Hermitian part (A + A*)/2 with a cyclic
-  Jacobi eigensolver;
+  eigenvalue extremes of the Hermitian part (A + A*)/2 with LAPACK
+  (``np.linalg.eigvalsh``);
 * ``spectral_abscissa`` / ``eigenvalues``: the full (generally
-  non-Hermitian) spectrum via characteristic-polynomial root finding
-  for q <= 4 and Hessenberg-QR iteration for 5 <= q <= 8;
-* ``LinearPath``: a validated path t -> A(t) with cached cumulative
-  integrals M(t) = int_0^t m(A) and K(t) = int_0^t k(A) (adaptive
-  Simpson, breakpoint-aware, thread safe);
+  non-Hermitian) spectrum from ``np.linalg.eigvals``;
+* ``LinearPath``: a validated path t -> A(t), evaluated on arrays of
+  times, with stacked Hermitian bounds over a time grid
+  (``bounds_many``) and cached cumulative integrals
+  M(t) = int_0^t m(A) and K(t) = int_0^t k(A);
+* ``gauss_kronrod``: the adaptive, breakpoint-aware 7-point Gauss /
+  15-point Kronrod quadrature behind those integrals, which evaluates
+  all open panels of a refinement round in one call;
 * ``ell_estimate`` and ``classify_hypotheses``: grid-based bunching
   constants and per-criterion verdicts with explicit witnesses;
 * ``transition_matrix``: the linear flow J' = -A(t) J;
@@ -27,12 +30,12 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._integrate import integrate_adaptive
+from ._integrate import check_tol, integrate_adaptive
 from .errors import (DegenerateTransitionError, HypothesisViolationError,
                      InvalidInputError, NumericalFailureError)
 
@@ -45,9 +48,6 @@ COMMUTATOR_TOL = 1e-10
 #: running condition-estimate cap for accumulated inverse products
 CONDITION_CAP = 1e12
 
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 60
-
 
 def validate_matrix(A) -> np.ndarray:
     """Coerce to a square complex matrix with dim in [1, 8], all finite."""
@@ -57,7 +57,7 @@ def validate_matrix(A) -> np.ndarray:
     q = M.shape[0]
     if not 1 <= q <= MAX_DIM:
         raise InvalidInputError(f"dimension {q} outside [1, {MAX_DIM}]")
-    if not np.all(np.isfinite(M.view(float))):
+    if not np.isfinite(M).all():
         raise InvalidInputError("matrix has non-finite entries")
     return M
 
@@ -69,60 +69,9 @@ class HermitianBounds(NamedTuple):
     k: float
 
 
-def jacobi_eigvalsh(H, *, tol: float = _JACOBI_TOL,
-                    max_sweeps: int = _JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps zero each off-diagonal pair with a unitary plane rotation
-    until the off-diagonal Frobenius mass drops below ``tol`` times the
-    matrix norm.  Returns the eigenvalues sorted ascending.
-    """
-    H = np.array(H, dtype=complex)
-    n = H.shape[0]
-    if n == 1:
-        return np.array([H[0, 0].real])
-    scale = float(np.linalg.norm(H))
-    if scale == 0.0:
-        return np.zeros(n)
-    thresh = tol * scale
-    for sweep in range(max_sweeps):
-        offmat = H.copy()
-        np.fill_diagonal(offmat, 0.0)
-        off = float(np.linalg.norm(offmat))
-        if off <= thresh:
-            return np.sort(np.real(np.diag(H)))
-        skip = thresh / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = H[p, q]
-                beta = abs(apq)
-                if beta <= skip:
-                    continue
-                app = H[p, p].real
-                aqq = H[q, q].real
-                taup = (app - aqq) / (2.0 * beta)
-                if taup == 0.0:
-                    tt = 1.0
-                elif taup > 0.0:
-                    tt = -1.0 / (taup + math.hypot(1.0, taup))
-                else:
-                    tt = 1.0 / (-taup + math.hypot(1.0, taup))
-                c = 1.0 / math.sqrt(1.0 + tt * tt)
-                sigma = (tt * c) * (apq / beta)
-                colp = H[:, p].copy()
-                colq = H[:, q].copy()
-                H[:, p] = c * colp - np.conj(sigma) * colq
-                H[:, q] = sigma * colp + c * colq
-                rowp = H[p, :].copy()
-                rowq = H[q, :].copy()
-                H[p, :] = c * rowp - sigma * rowq
-                H[q, :] = np.conj(sigma) * rowp + c * rowq
-                H[p, q] = 0.0
-                H[q, p] = 0.0
-                H[p, p] = H[p, p].real
-                H[q, q] = H[q, q].real
-    raise NumericalFailureError("Jacobi eigensolver did not converge",
-                                iterations=max_sweeps)
+def _hermitian_eigvalsh(M: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian parts of (..., q, q) matrices."""
+    return np.linalg.eigvalsh(0.5 * (M + np.conj(np.swapaxes(M, -1, -2))))
 
 
 def hermitian_bounds(A) -> HermitianBounds:
@@ -131,143 +80,18 @@ def hermitian_bounds(A) -> HermitianBounds:
     m(A) = min over |z| = 1 of Re<A z, z> and k(A) = max of the same,
     which equal the smallest/largest eigenvalues of (A + A*)/2.
     """
-    M = validate_matrix(A)
-    H = 0.5 * (M + M.conj().T)
-    ev = jacobi_eigvalsh(H)
+    ev = _hermitian_eigvalsh(validate_matrix(A))
     return HermitianBounds(float(ev[0]), float(ev[-1]))
 
 
 def operator_norm(A) -> float:
-    """Largest singular value, computed as sqrt(lambda_max(A* A))."""
-    M = validate_matrix(A)
-    ev = jacobi_eigvalsh(M.conj().T @ M)
-    return math.sqrt(max(0.0, float(ev[-1])))
-
-
-def _charpoly_coeffs(A: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients by Faddeev-LeVerrier."""
-    n = A.shape[0]
-    coeffs = np.empty(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    Mk = A.copy()
-    eye = np.eye(n, dtype=complex)
-    for kk in range(1, n + 1):
-        ck = -np.trace(Mk) / kk
-        coeffs[kk] = ck
-        if kk < n:
-            Mk = A @ (Mk + ck * eye)
-    return coeffs
-
-
-def _givens(a: complex, b: complex):
-    """Unitary rotation [[c1, s1], [-conj(s1), conj(c1)]] sending (a,b) to (r,0)."""
-    rho = math.hypot(abs(a), abs(b))
-    if rho == 0.0:
-        return 1.0 + 0.0j, 0.0 + 0.0j
-    return np.conj(a) / rho, np.conj(b) / rho
-
-
-def _hessenberg(A: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by Householder similarity."""
-    H = A.copy()
-    n = H.shape[0]
-    for kcol in range(n - 2):
-        x = H[kcol + 1:, kcol].copy()
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            continue
-        x0 = x[0]
-        phase = x0 / abs(x0) if x0 != 0 else 1.0
-        alpha = -phase * nx
-        v = x.copy()
-        v[0] -= alpha
-        nv = float(np.linalg.norm(v))
-        if nv < 1e-300:
-            continue
-        v /= nv
-        H[kcol + 1:, kcol:] -= 2.0 * np.outer(v, v.conj() @ H[kcol + 1:, kcol:])
-        H[:, kcol + 1:] -= 2.0 * np.outer(H[:, kcol + 1:] @ v, v.conj())
-    return H
-
-
-def _eig2(a, b, c, d) -> tuple[complex, complex]:
-    """Eigenvalues of [[a, b], [c, d]]."""
-    tr = a + d
-    disc = np.sqrt((a - d) ** 2 + 4.0 * b * c + 0j)
-    return 0.5 * (tr + disc), 0.5 * (tr - disc)
-
-
-def _hessenberg_qr_eigvals(A: np.ndarray, max_iter_per_eig: int = 60) -> np.ndarray:
-    """Eigenvalues via shifted QR iteration on the Hessenberg form.
-
-    Single Wilkinson shifts in complex arithmetic with standard
-    deflation; raises NumericalFailureError with the iteration count if
-    a block refuses to deflate.
-    """
-    H = _hessenberg(A)
-    n = H.shape[0]
-    eps = np.finfo(float).eps
-    evs: list[complex] = []
-    m = n - 1
-    total_iters = 0
-    budget = max_iter_per_eig * n
-    while m >= 0:
-        if m == 0:
-            evs.append(H[0, 0])
-            m -= 1
-            continue
-        # deflate negligible subdiagonals in the active window
-        for i in range(1, m + 1):
-            if abs(H[i, i - 1]) <= eps * (abs(H[i - 1, i - 1]) + abs(H[i, i])):
-                H[i, i - 1] = 0.0
-        if H[m, m - 1] == 0.0:
-            evs.append(H[m, m])
-            m -= 1
-            continue
-        if m == 1 or H[m - 1, m - 2] == 0.0:
-            lam1, lam2 = _eig2(H[m - 1, m - 1], H[m - 1, m],
-                               H[m, m - 1], H[m, m])
-            evs.extend([lam1, lam2])
-            m -= 2
-            continue
-        total_iters += 1
-        if total_iters > budget:
-            raise NumericalFailureError(
-                "QR iteration failed to deflate", iterations=total_iters)
-        lo = m
-        while lo > 0 and H[lo, lo - 1] != 0.0:
-            lo -= 1
-        lam1, lam2 = _eig2(H[m - 1, m - 1], H[m - 1, m],
-                           H[m, m - 1], H[m, m])
-        mu = lam1 if abs(lam1 - H[m, m]) <= abs(lam2 - H[m, m]) else lam2
-        if total_iters % 16 == 0:
-            # deterministic exceptional shift to break rare cycling
-            mu = H[m, m] + 0.75 * abs(H[m, m - 1])
-        size = m - lo + 1
-        B = H[lo:m + 1, lo:m + 1] - mu * np.eye(size, dtype=complex)
-        rots = []
-        for i in range(size - 1):
-            c1, s1 = _givens(B[i, i], B[i + 1, i])
-            G = np.array([[c1, s1], [-np.conj(s1), np.conj(c1)]])
-            B[i:i + 2, i:] = G @ B[i:i + 2, i:]
-            rots.append(G)
-        for i, G in enumerate(rots):
-            hi = min(i + 2, size - 1)
-            B[:hi + 1, i:i + 2] = B[:hi + 1, i:i + 2] @ G.conj().T
-        H[lo:m + 1, lo:m + 1] = B + mu * np.eye(size, dtype=complex)
-    return np.array(evs)
+    """Largest singular value (spectral norm)."""
+    return float(np.linalg.norm(validate_matrix(A), ord=2))
 
 
 def eigenvalues(A) -> np.ndarray:
-    """Full spectrum: characteristic polynomial roots for q <= 4,
-    Hessenberg-QR iteration for 5 <= q <= 8."""
-    M = validate_matrix(A)
-    q = M.shape[0]
-    if q == 1:
-        return np.array([M[0, 0]])
-    if q <= 4:
-        return np.roots(_charpoly_coeffs(M))
-    return _hessenberg_qr_eigvals(M)
+    """Full spectrum of A."""
+    return np.linalg.eigvals(validate_matrix(A))
 
 
 def spectral_abscissa(A) -> float:
@@ -276,68 +100,94 @@ def spectral_abscissa(A) -> float:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Simpson quadrature (vector valued)
+# adaptive Gauss-Kronrod quadrature (vector valued, batched per round)
+
+# QUADPACK's 15-point Kronrod rule on [-1, 1] (Piessens et al., 1983):
+# nodes x_0 > ... > x_7 = 0 (used with both signs) and their weights;
+# the 7-point Gauss rule uses the odd-indexed nodes x_1, x_3, x_5, x_7.
+_XK = np.array([0.991455371120812639206854697526329,
+                0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926,
+                0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013,
+                0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245,
+                0.0])
+_WK = np.array([0.022935322010529224963732008058970,
+                0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518,
+                0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550,
+                0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649,
+                0.209482141084727828012999174891714])
+_WG = np.array([0.0, 0.129484966168869693270611432679082,
+                0.0, 0.279705391489276667901467771423780,
+                0.0, 0.381830050505118944950369775488975,
+                0.0, 0.417959183673469387755102040816327])
+_GK_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
+_GK_WEIGHTS = np.concatenate([_WK[:-1], _WK[::-1]])
+_G_WEIGHTS = np.concatenate([_WG[:-1], _WG[::-1]])
+#: equal panels seeded per breakpoint piece (prime, see gauss_kronrod)
+_SEED_PANELS = 7
+#: bisection depth at which a panel that still misses its tolerance fails
+_MAX_DEPTH = 48
 
 
-def _simpson_rec(f, a, fa, b, fb, mid, fmid, whole, tol, depth, max_depth):
-    lm = 0.5 * (a + mid)
-    rm = 0.5 * (mid + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fmid)
-    right = (b - mid) / 6.0 * (fmid + 4.0 * frm + fb)
-    err = left + right - whole
-    # a sliver this narrow contributes at most O(|f| * width): accept it
-    # rather than recurse forever into a jump pinned at a panel endpoint
-    sliver = (b - a) <= 1e-13 * max(1.0, abs(a), abs(b))
-    if float(np.max(np.abs(err))) <= 15.0 * tol or sliver or depth >= max_depth:
-        if (depth >= max_depth and not sliver
-                and float(np.max(np.abs(err))) > 15.0 * tol):
-            raise NumericalFailureError(
-                "adaptive Simpson hit maximum depth", iterations=depth)
-        return left + right + err / 15.0
-    return (_simpson_rec(f, a, fa, mid, fmid, lm, flm, left,
-                         0.5 * tol, depth + 1, max_depth)
-            + _simpson_rec(f, mid, fmid, b, fb, rm, frm, right,
-                           0.5 * tol, depth + 1, max_depth))
+def gauss_kronrod(f, a: float, b: float, tol: float, *,
+                  breakpoints=()) -> np.ndarray:
+    """Adaptive G7K15 integral of a vector-valued function on [a, b].
 
+    ``f`` maps a 1-D array of n times to values of shape (n, d) (or (n,)
+    for d = 1).  ``tol`` is an absolute tolerance on the max-norm of the
+    result, split across panels in proportion to their width: a panel
+    is accepted when the max-norm of its K15 - G7 difference is within
+    its share, and bisected otherwise.  Each round evaluates every open
+    panel's 15 nodes in one call to ``f``.
 
-def adaptive_simpson(f, a: float, b: float, tol: float,
-                     *, breakpoints=(), max_depth: int = 48,
-                     init_panels: int = 7) -> np.ndarray:
-    """Adaptive Simpson integral of a vector-valued function on [a, b].
-
-    ``tol`` is an absolute tolerance on the max-norm of the result,
-    split across pieces proportionally to their length.  Each
-    breakpoint piece is seeded with a prime number of equal panels
-    before recursing, so periodic integrands whose zeros sit on the
-    dyadic subdivision points of [a, b] (sin on [0, 4 pi], say) cannot
-    alias the error estimator into early acceptance.
+    Each breakpoint piece is seeded with a prime number of equal panels,
+    so periodic integrands whose zeros sit on dyadic subdivision points
+    of [a, b] (sin on [0, 4 pi], say) cannot alias the error estimate
+    into early acceptance.  Nodes are interior to their panel, so no
+    breakpoint is ever sampled or straddled.  A panel narrower than
+    1e-13 max(1, |t|) is accepted as it is (it contributes at most
+    O(|f| width)), so a jump pinned at a panel end cannot recurse
+    forever; any other panel still open after 48 bisections raises
+    NumericalFailureError.
     """
     if b < a:
         raise InvalidInputError("integration bounds must satisfy a <= b")
     if b == a:
-        return np.asarray(f(a), dtype=float) * 0.0
+        return 0.0 * np.asarray(f(np.array([a])), dtype=float).reshape(-1)
     cuts = sorted({float(c) for c in breakpoints if a < float(c) < b})
     knots = [a, *cuts, b]
-    panels: list[tuple[float, float]] = []
-    for i in range(len(knots) - 1):
-        x0, x1 = knots[i], knots[i + 1]
-        edges = np.linspace(x0, x1, init_panels + 1)
-        panels.extend((float(edges[j]), float(edges[j + 1]))
-                      for j in range(init_panels))
+    edges = [np.linspace(x0, x1, _SEED_PANELS + 1)
+             for x0, x1 in zip(knots[:-1], knots[1:])]
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
     total = b - a
-    out = None
-    for (x0, x1) in panels:
-        fa = np.asarray(f(x0), dtype=float)
-        fb = np.asarray(f(x1), dtype=float)
-        mid = 0.5 * (x0 + x1)
-        fmid = np.asarray(f(mid), dtype=float)
-        whole = (x1 - x0) / 6.0 * (fa + 4.0 * fmid + fb)
-        piece_tol = max(tol * (x1 - x0) / total, 1e-300)
-        piece = _simpson_rec(f, x0, fa, x1, fb, mid, fmid, whole,
-                             piece_tol, 0, max_depth)
-        out = piece if out is None else out + piece
+    out = 0.0
+    depth = 0
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        nodes = mid[:, None] + half[:, None] * _GK_NODES[None, :]
+        vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(
+            lo.size, _GK_NODES.size, -1)
+        kron = half[:, None] * np.einsum("k,pkd->pd", _GK_WEIGHTS, vals)
+        gauss = half[:, None] * np.einsum("k,pkd->pd", _G_WEIGHTS, vals)
+        err = np.max(np.abs(kron - gauss), axis=1)
+        share = np.maximum(tol * (hi - lo) / total, 1e-300)
+        sliver = (hi - lo) <= 1e-13 * np.maximum(
+            1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        done = (err <= share) | sliver
+        if depth >= _MAX_DEPTH and not np.all(done):
+            raise NumericalFailureError(
+                "adaptive Gauss-Kronrod hit maximum depth", iterations=depth)
+        out = out + np.sum(kron[done], axis=0)
+        lo, mid, hi = lo[~done], mid[~done], hi[~done]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        depth += 1
     return out
 
 
@@ -348,31 +198,30 @@ def adaptive_simpson(f, a: float, b: float, tol: float,
 class LinearPath:
     """A validated time-dependent linear part t -> A(t) on [0, inf).
 
+    ``evaluate`` maps a 1-D array of n times to the stacked matrices
+    A(t), shape (n, q, q); ``from_callable`` adapts a scalar A(t).
     Carries cached cumulative integrals of the Hermitian-part bounds,
 
         M(t) = int_0^t m(A(tau)) dtau,    K(t) = int_0^t k(A(tau)) dtau,
 
-    computed by adaptive Simpson quadrature that never straddles a
-    declared breakpoint.  Values are accumulated through monotone
+    computed by adaptive Gauss-Kronrod quadrature that never straddles
+    a declared breakpoint.  Values are accumulated through monotone
     checkpoints, so refining the query set never changes a previously
-    returned value by more than the quadrature tolerance.  All caches
-    are guarded by a lock; concurrent readers see pure-function
-    behavior.
+    returned value by more than the quadrature tolerance.  The
+    checkpoints are guarded by a lock; concurrent readers see
+    pure-function behavior.
     """
 
-    def __init__(self, dim: int, evaluate: Callable[[float], np.ndarray],
+    def __init__(self, dim: int, evaluate: Callable[[np.ndarray], np.ndarray],
                  *, breakpoints=(), quad_tol: float = 1e-10,
                  constant_matrix: np.ndarray | None = None):
         if not 1 <= dim <= MAX_DIM:
             raise InvalidInputError(f"dimension {dim} outside [1, {MAX_DIM}]")
-        if not (1e-14 <= quad_tol <= 1e-2):
-            raise InvalidInputError("quadrature tolerance outside [1e-14, 1e-2]")
         self.dim = dim
-        self._evaluate = evaluate
+        self.evaluate = evaluate
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
-        self.quad_tol = float(quad_tol)
+        self.quad_tol = check_tol(quad_tol, "quadrature tolerance")
         self._lock = threading.Lock()
-        self._bounds_cache: dict[float, HermitianBounds] = {}
         # checkpoint arrays: times (sorted) and cumulative (M, K) values
         self._ck_t: list[float] = [0.0]
         self._ck_v: list[np.ndarray] = [np.zeros(2)]
@@ -389,50 +238,59 @@ class LinearPath:
     def constant(cls, A, *, quad_tol: float = 1e-10) -> "LinearPath":
         """Path with A(t) identically equal to the given matrix."""
         A = validate_matrix(A)
-        return cls(A.shape[0], lambda t: A, quad_tol=quad_tol,
-                   constant_matrix=A)
+        return cls(A.shape[0],
+                   lambda ts: np.broadcast_to(A, (len(ts),) + A.shape),
+                   quad_tol=quad_tol, constant_matrix=A)
 
     @classmethod
     def from_callable(cls, dim: int, fn: Callable[[float], np.ndarray],
                       *, breakpoints=(), quad_tol: float = 1e-10) -> "LinearPath":
-        return cls(dim, fn, breakpoints=breakpoints, quad_tol=quad_tol)
+        """Path from a scalar evaluator fn(t) -> (q, q), called once per
+        time and stacked."""
+        def evaluate(ts):
+            return np.stack([validate_matrix(fn(float(t))) for t in ts])
+
+        return cls(dim, evaluate, breakpoints=breakpoints, quad_tol=quad_tol)
 
     @property
     def is_constant(self) -> bool:
         return self._const is not None
 
+    def _matrices(self, ts: np.ndarray) -> np.ndarray:
+        """Validated stack A(t) for a 1-D time array, shape (n, q, q)."""
+        As = np.asarray(self.evaluate(ts), dtype=complex)
+        if As.shape != (ts.size, self.dim, self.dim):
+            raise InvalidInputError(
+                f"path evaluate() returned shape {As.shape}, want "
+                f"{(ts.size, self.dim, self.dim)}")
+        if not np.isfinite(As).all():
+            raise InvalidInputError("matrix has non-finite entries")
+        return As
+
     def A(self, t: float) -> np.ndarray:
         """The matrix A(t)."""
         if self._const is not None:
             return self._const[0]
-        M = validate_matrix(self._evaluate(float(t)))
-        if M.shape[0] != self.dim:
-            raise InvalidInputError("path evaluate() returned wrong dimension")
-        return M
+        return self._matrices(np.array([float(t)]))[0]
+
+    def bounds_many(self, ts) -> np.ndarray:
+        """Hermitian-part bounds at each time of a 1-D array: column 0 is
+        m(A(t)), column 1 is k(A(t)); one stacked eigensolve."""
+        ts = np.asarray(ts, dtype=float).ravel()
+        if self._const is not None:
+            return np.tile([self._const[1], self._const[2]], (ts.size, 1))
+        return _hermitian_eigvalsh(self._matrices(ts))[:, [0, -1]]
 
     def bounds(self, t: float) -> HermitianBounds:
-        """Hermitian-part bounds (m(A(t)), k(A(t))), memoized per t."""
-        if self._const is not None:
-            return HermitianBounds(self._const[1], self._const[2])
-        t = float(t)
-        with self._lock:
-            hit = self._bounds_cache.get(t)
-        if hit is not None:
-            return hit
-        val = hermitian_bounds(self.A(t))
-        with self._lock:
-            self._bounds_cache[t] = val
-        return val
+        """Hermitian-part bounds (m(A(t)), k(A(t)))."""
+        m, k = self.bounds_many([float(t)])[0]
+        return HermitianBounds(float(m), float(k))
 
     def m(self, t: float) -> float:
         return self.bounds(t).m
 
     def k(self, t: float) -> float:
         return self.bounds(t).k
-
-    def _mk_vec(self, t: float) -> np.ndarray:
-        b = self.bounds(t)
-        return np.array([b.m, b.k])
 
     def _cumulative(self, t: float) -> np.ndarray:
         if t < 0.0:
@@ -445,8 +303,8 @@ class LinearPath:
             v0 = self._ck_v[i]
         if t == t0:
             return v0.copy()
-        inc = adaptive_simpson(self._mk_vec, t0, t, self.quad_tol,
-                               breakpoints=self.breakpoints)
+        inc = gauss_kronrod(self.bounds_many, t0, t, self.quad_tol,
+                            breakpoints=self.breakpoints)
         val = v0 + inc
         with self._lock:
             j = bisect.bisect_left(self._ck_t, t)
@@ -464,19 +322,19 @@ class LinearPath:
         return float(self._cumulative(t)[1])
 
     def integral_matrix(self, a: float, b: float) -> np.ndarray:
-        """Entrywise integral int_a^b A(tau) dtau (adaptive Simpson)."""
+        """Entrywise integral int_a^b A(tau) dtau (adaptive Gauss-Kronrod)."""
         if b < a:
             raise InvalidInputError("integration bounds must satisfy a <= b")
         if self._const is not None:
             return (b - a) * self._const[0]
         q = self.dim
 
-        def f(tau):
-            M = self.A(tau)
-            return np.concatenate([M.real.ravel(), M.imag.ravel()])
+        def f(ts):
+            As = self._matrices(ts).reshape(ts.size, q * q)
+            return np.concatenate([As.real, As.imag], axis=1)
 
-        flat = adaptive_simpson(f, a, b, self.quad_tol,
-                                breakpoints=self.breakpoints)
+        flat = gauss_kronrod(f, a, b, self.quad_tol,
+                             breakpoints=self.breakpoints)
         return (flat[:q * q] + 1j * flat[q * q:]).reshape(q, q)
 
 
@@ -487,18 +345,16 @@ def ell_estimate(path: LinearPath, grid) -> float:
     anywhere on the grid.  The estimate is monotone under grid
     refinement (a superset of sample points can only raise it).
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise InvalidInputError("empty grid")
-    best = -math.inf
-    for t in grid:
-        b = path.bounds(float(t))
-        if b.m <= 0.0:
-            raise HypothesisViolationError(
-                f"m(A(t)) = {b.m} <= 0 at t = {t}",
-                t=float(t), quantity="m(A(t))", value=b.m)
-        best = max(best, b.k / b.m)
-    return float(best)
+    mk = path.bounds_many(grid)
+    bad = np.flatnonzero(mk[:, 0] <= 0.0)
+    if bad.size:
+        t, m = float(grid[bad[0]]), float(mk[bad[0], 0])
+        raise HypothesisViolationError(f"m(A(t)) = {m} <= 0 at t = {t}",
+                                       t=t, quantity="m(A(t))", value=m)
+    return float(np.max(mk[:, 1] / mk[:, 0]))
 
 
 class Witness(NamedTuple):
@@ -587,19 +443,16 @@ def classify_hypotheses(path: LinearPath, grid, *,
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size < 2:
         raise InvalidInputError("classification grid needs >= 2 points")
-    ms = np.empty(grid.size)
-    ks = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        b = path.bounds(float(t))
-        ms[i], ks[i] = b.m, b.k
-    A0 = path.A(float(grid[0]))
-    dev = 0.0
-    dev_t = float(grid[0])
-    if not path.is_constant:
-        for t in grid[1:]:
-            d = float(np.max(np.abs(path.A(float(t)) - A0)))
-            if d > dev:
-                dev, dev_t = d, float(t)
+    ms, ks = path.bounds_many(grid).T
+    if path.is_constant:
+        A0 = path.A(float(grid[0]))
+        dev, dev_t = 0.0, float(grid[0])
+    else:
+        As = path._matrices(grid)
+        A0 = As[0]
+        devs = np.max(np.abs(As - A0), axis=(1, 2))
+        i_dev = int(np.argmax(devs))
+        dev, dev_t = float(devs[i_dev]), float(grid[i_dev])
     constant = dev <= 1e-12 * (1.0 + float(np.max(np.abs(A0))))
 
     verdicts: dict[str, str] = {}
@@ -743,8 +596,8 @@ class InverseTransitionProduct:
         F = validate_matrix(factor)
         if F.shape[0] != self.dim:
             raise InvalidInputError("factor dimension mismatch")
-        sv = np.sqrt(np.maximum(jacobi_eigvalsh(F.conj().T @ F), 0.0))
-        smin, smax = float(sv[0]), float(sv[-1])
+        sv = np.linalg.svd(F, compute_uv=False)
+        smax, smin = float(sv[0]), float(sv[-1])
         if smin <= 0.0:
             raise DegenerateTransitionError(
                 "transition factor is numerically singular",
@@ -767,8 +620,3 @@ class InverseTransitionProduct:
             x = np.linalg.solve(F, x)
         return x
 
-
-def inverse_product_push(acc: InverseTransitionProduct,
-                         factor) -> InverseTransitionProduct:
-    """Functional alias for :meth:`InverseTransitionProduct.push`."""
-    return acc.push(factor)

@@ -38,6 +38,38 @@ def unit_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def trig_coefficients(q: int, seed: int):
+    """(base, S, C, w) of a dense A(t) = base + sin(w t) S + cos(w t) C
+    whose base has Hermitian part I and whose S, C have Frobenius norm
+    0.08, so m(A(t)) >= 1 - 0.08 sqrt(2) > 0."""
+    rng = np.random.default_rng(seed)
+
+    def cplx():
+        return rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+
+    skew = cplx()
+    base = np.eye(q) + 0.25 * (skew - skew.conj().T)
+    S, C = cplx(), cplx()
+    S *= 0.08 / np.linalg.norm(S)
+    C *= 0.08 / np.linalg.norm(C)
+    return base, S, C, float(rng.uniform(0.8, 1.25))
+
+
+def gauss_legendre_mass(coeffs, a: float, b: float, panels: int = 64,
+                        order: int = 8) -> float:
+    """Reference int_a^b m(A(t)) dt for trig coefficients: composite
+    Gauss-Legendre with one stacked eigvalsh over all nodes."""
+    base, S, C, w = coeffs
+    x, wts = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * x
+    wt = w * nodes.ravel()[:, None, None]
+    A = base + np.sin(wt) * S + np.cos(wt) * C
+    m = np.linalg.eigvalsh(0.5 * (A + np.conj(np.swapaxes(A, 1, 2))))[:, 0]
+    return float(np.sum(half * wts * m.reshape(panels, order)))
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return builtin_corpus()

@@ -9,6 +9,8 @@ import pytest
 from loewner_basin import cli
 from loewner_basin.errors import StiffnessError
 
+from conftest import gauss_legendre_mass, trig_coefficients
+
 
 def run(capsys, *argv):
     """Invoke the CLI in process; returns (exit_code, stdout, stderr)."""
@@ -142,6 +144,35 @@ def test_schedule_identity_json_contract(capsys):
     assert sched["u"] == pytest.approx(list(range(6)), abs=1e-9)
     assert sched["mu"] == pytest.approx(0.44198, abs=1e-4)
     assert sched["nu"] == pytest.approx(0.29383, abs=1e-4)
+
+
+def test_schedule_tol_quad_keeps_batched_path(capsys, tmp_path):
+    coeffs = trig_coefficients(4, 21)
+    base, S, C, w = coeffs
+
+    def mat(M):
+        return [[[float(x.real), float(x.imag)] for x in row] for row in M]
+
+    cfg = {"dim": 4, "linear": [{"until": None, "base": mat(base),
+                                 "sin": mat(S), "cos": mat(C),
+                                 "frequency": w}]}
+    path = tmp_path / "trig4.json"
+    path.write_text(json.dumps(cfg))
+    args = cli._build_parser().parse_args(
+        ["schedule", "--field", str(path), "--tol-quad", "1e-9"])
+    field, _ = cli._load_field(args)
+    rebuilt = cli._linear_path(field, args)
+    assert rebuilt.quad_tol == 1e-9
+    assert rebuilt.evaluate is field.linear.evaluate
+    code, payload, _ = run_json(capsys, "schedule", "--field", str(path),
+                                "--horizon", "6",
+                                "--tol-quad", "1e-9")
+    assert code == 0
+    u = payload["result"]["schedule"]["u"]
+    mass = 0.0
+    for n in range(1, len(u)):
+        mass += gauss_legendre_mass(coeffs, u[n - 1], u[n], panels=16)
+        assert abs(mass - n) <= 1e-9 * (1 + n)
 
 
 def test_schedule_large_mass_ratio_has_no_chain(capsys):

@@ -13,11 +13,12 @@ from loewner_basin.errors import (DegenerateTransitionError,
 from loewner_basin.linear import (CRITERIA, GRID_MARGIN, MAX_DIM,
                                   InverseTransitionProduct, LinearPath,
                                   VERDICT_SATISFIED, VERDICT_UNDECIDABLE,
-                                  VERDICT_VIOLATED, adaptive_simpson,
-                                  classify_hypotheses, eigenvalues,
-                                  ell_estimate, hermitian_bounds,
-                                  jacobi_eigvalsh, operator_norm,
+                                  VERDICT_VIOLATED, classify_hypotheses,
+                                  eigenvalues, ell_estimate, gauss_kronrod,
+                                  hermitian_bounds, operator_norm,
                                   spectral_abscissa, transition_matrix)
+
+from conftest import gauss_legendre_mass, trig_coefficients
 
 
 def _random_complex(rng, q):
@@ -30,14 +31,18 @@ def _random_complex(rng, q):
 
 @pytest.mark.parametrize("q", range(1, MAX_DIM + 1))
 def test_jacobi_matches_reference_eigvalsh(q):
+    # named after the Jacobi solver hermitian_bounds once used; it now
+    # checks hermitian_bounds against scipy's Hermitian eigensolver
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(q)
     for _ in range(5):
-        G = _random_complex(rng, q)
-        H = G + G.conj().T
-        got = jacobi_eigvalsh(H)
-        want = np.linalg.eigvalsh(H)
-        assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.abs(H).max())
-        assert np.all(np.diff(got) >= 0.0)
+        A = _random_complex(rng, q)
+        H = 0.5 * (A + A.conj().T)
+        want = scipy_linalg.eigh(H, eigvals_only=True)
+        m, k = hermitian_bounds(A)
+        assert m <= k
+        assert max(abs(m - want[0]), abs(k - want[-1])) < 1e-10 * max(
+            1.0, np.abs(H).max())
 
 
 def test_hermitian_bounds_known_values():
@@ -101,37 +106,44 @@ def test_matrix_validation():
 
 
 def test_simpson_polynomial_is_near_exact():
-    got = adaptive_simpson(lambda t: np.array([t ** 3 - t]), 0.0, 2.0, 1e-12)
+    # the quadrature tests keep the names of the adaptive Simpson rule
+    # that gauss_kronrod replaced, with the same integrands and bounds
+    got = gauss_kronrod(lambda t: (t ** 3 - t)[:, None], 0.0, 2.0, 1e-12)
     assert abs(got[0] - 2.0) < 1e-12
 
 
 def test_simpson_periodic_integrand_not_aliased():
     # zeros of sin on dyadic midpoints of [0, 4 pi] would fool a naive
     # single-panel error estimate; the prime panel seeding must not
-    got = adaptive_simpson(lambda t: np.array([math.sin(t)]),
-                           0.0, 4.0 * math.pi, 1e-11)
+    got = gauss_kronrod(np.sin, 0.0, 4.0 * math.pi, 1e-11)
     assert abs(got[0]) < 1e-10
-    got = adaptive_simpson(lambda t: np.array([math.sin(8.0 * t) ** 2]),
-                           0.0, math.pi, 1e-11)
+    got = gauss_kronrod(lambda t: np.sin(8.0 * t) ** 2, 0.0, math.pi, 1e-11)
     assert abs(got[0] - math.pi / 2.0) < 1e-9
 
 
 def test_simpson_breakpoints_and_endpoint_jump():
     # value at the breakpoint belongs to the right piece, so the left
-    # piece ends in a jump pinned at its own endpoint; the sliver rule
-    # must accept it instead of recursing forever
+    # piece ends in a jump pinned at its own endpoint; it must never be
+    # sampled there, nor refined forever
     def f(t):
-        return np.array([1.0 if t < 1.0 else 0.0])
+        return np.where(t < 1.0, 1.0, 0.0)
 
-    got = adaptive_simpson(f, 0.0, 2.0, 1e-10, breakpoints=(1.0,))
+    got = gauss_kronrod(f, 0.0, 2.0, 1e-10, breakpoints=(1.0,))
     assert abs(got[0] - 1.0) < 1e-8
 
 
 def test_simpson_sharp_peak():
-    got = adaptive_simpson(
-        lambda t: np.array([1.0 / (1e-4 + (t - 0.5) ** 2)]), 0.0, 1.0, 1e-8)
+    got = gauss_kronrod(
+        lambda t: 1.0 / (1e-4 + (t - 0.5) ** 2), 0.0, 1.0, 1e-8)
     want = 2.0 / 1e-2 * math.atan(0.5 / 1e-2)
     assert abs(got[0] - want) < 1e-6 * want
+
+
+def test_quadrature_jump_off_breakpoint_accepted_as_sliver():
+    # an undeclared jump is refined down to sliver panels and accepted
+    got = gauss_kronrod(lambda t: np.where(t < 0.3, 1.0, 0.0), 0.0, 1.0,
+                        1e-10)
+    assert abs(got[0] - 0.3) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +181,43 @@ def test_path_breakpoints_preserved():
         breakpoints=(1.0,))
     assert path.breakpoints == (1.0,)
     assert path.M(2.0) == pytest.approx(3.0, abs=1e-9)
+
+
+def _trig_path(q: int, seed: int):
+    coeffs = trig_coefficients(q, seed)
+    base, S, C, w = coeffs
+
+    def evaluate(ts):
+        wt = w * ts[:, None, None]
+        return base + np.sin(wt) * S + np.cos(wt) * C
+
+    return LinearPath(q, evaluate), coeffs
+
+
+def test_bounds_many_bit_identical_to_per_time_bounds():
+    rng = np.random.default_rng(5)
+    ts = rng.uniform(0.0, 20.0, 64)
+    paths = [_trig_path(8, 1)[0], _trig_path(2, 2)[0],
+             LinearPath.from_callable(
+                 2, lambda t: np.array([[1.0, t], [0.0, 2.0 + math.sin(t)]]))]
+    for path in paths:
+        single = np.array([path.bounds(t) for t in ts])
+        assert np.array_equal(
+            single, np.array([hermitian_bounds(path.A(t)) for t in ts]))
+        assert np.array_equal(path.bounds_many(ts), single)
+        perm = rng.permutation(ts.size)
+        assert np.array_equal(path.bounds_many(ts[perm]), single[perm])
+        for part in np.array_split(perm, 5):
+            batch = np.concatenate([ts[part], rng.uniform(0.0, 20.0, 3)])
+            assert np.array_equal(path.bounds_many(batch)[:part.size],
+                                  single[part])
+
+
+def test_dense_q8_mass_matches_gauss_legendre():
+    path, coeffs = _trig_path(8, 3)
+    for t in (0.37, 2.0, 5.5, 9.0):
+        want = gauss_legendre_mass(coeffs, 0.0, t)
+        assert abs(path.M(t) - want) <= 1e-10
 
 
 def test_ell_estimate_diagonal():
@@ -315,6 +364,26 @@ def test_inverse_product_condition_cap():
     with pytest.raises(DegenerateTransitionError) as exc:
         for _ in range(30):
             acc = acc.push(F)
+    assert exc.value.condition_estimate > 1e12
+
+
+def test_inverse_product_condition_from_singular_values():
+    # the condition number comes from the singular values themselves,
+    # not from the square roots of eig(F* F), which square it
+    rng = np.random.default_rng(13)
+    Q1, _ = np.linalg.qr(_random_complex(rng, 3))
+    Q2, _ = np.linalg.qr(_random_complex(rng, 3))
+    for cond in (1e9, 1e11):
+        F = Q1 @ np.diag([1.0, 1e-3, 1.0 / cond]) @ Q2
+        acc = InverseTransitionProduct.identity(3).push(F)
+        assert acc.condition_estimate == pytest.approx(
+            np.linalg.cond(F), rel=1e-6)
+    F = Q1 @ np.diag([1.0, 0.5, 1e-7]) @ Q2
+    acc = InverseTransitionProduct.identity(3).push(F)
+    with pytest.raises(DegenerateTransitionError) as exc:
+        acc.push(F)
+    assert exc.value.condition_estimate == pytest.approx(
+        np.linalg.cond(F) ** 2, rel=1e-6)
     assert exc.value.condition_estimate > 1e12
 
 
