@@ -31,7 +31,6 @@ images form an increasing family of domains as t grows.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -40,13 +39,19 @@ import numpy as np
 from ._integrate import check_tol
 from .errors import (ChainUnavailableError, HorizonExhaustedError,
                      InvalidInputError)
-from .fields import FieldSpec
-from .flow import _evolve_one
+from .fields import FieldSpec, SamplePlan
+from .flow import _check_points, _check_times, _evolve_one
 from .linear import InverseTransitionProduct, transition_matrix
 from .schedule import Schedule
 
 #: increments below floor * (1 + |g|) are numerical noise, not signal
 INCREMENT_FLOOR = 1e-13
+#: schedule steps an evaluation takes before it may declare convergence
+_MIN_STEPS = 2
+#: state step of the central differences in pde_residual
+_DZ = 1e-5
+#: start points of range_sample whose inclusion is spot-checked
+_SPOT_CHECKS = 3
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,6 @@ class ChainEvaluator:
                 "degree >= 2 polynomial jets of the step maps; only linear "
                 "normalization is implemented, so this limit map is "
                 "unavailable (fields with ell < 2 work)")
-        if field.dim != field.linear.dim:
-            raise InvalidInputError("field dimension mismatch")
         self.field = field
         self.schedule = schedule
         self.tol_chain = check_tol(tol_chain)
@@ -136,7 +139,7 @@ class ChainEvaluator:
 
     # -- evaluation ------------------------------------------------------
 
-    def eval(self, t: float, z, *, min_steps: int = 2) -> ChainValue:
+    def eval(self, t: float, z) -> ChainValue:
         """Limit map at time t applied to z (shape (dim,)), |z| < 1.
 
         Needs t within the schedule horizon (t <= u_N).  Convergence is
@@ -146,24 +149,16 @@ class ChainEvaluator:
         """
         u = self.schedule.u
         N = self.schedule.horizon_N
-        t = float(t)
-        if not math.isfinite(t) or t < 0.0:
-            raise InvalidInputError(f"time {t} must be finite and >= 0")
+        (t,) = _check_times(t)
+        z = _check_points(z, self.field.dim, single=True)[0]
         if t > u[N]:
             raise HorizonExhaustedError(
                 f"time {t} exceeds the schedule horizon u_N = {u[N]:.6g}; "
                 "rebuild the schedule with a larger N")
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        if z.shape != (self.field.dim,):
-            raise InvalidInputError(
-                f"state must have shape ({self.field.dim},), got {z.shape}")
-        nz = float(np.linalg.norm(z))
-        if nz >= 1.0:
-            raise InvalidInputError(f"state norm {nz:.6f} >= 1")
         m0 = 0
         while u[m0] < t:
             m0 += 1
-        if nz == 0.0:
+        if not z.any():
             return ChainValue(value=np.zeros(self.field.dim, dtype=complex),
                               m_used=m0, last_increment=0.0, converged=True,
                               history=())
@@ -195,7 +190,7 @@ class ChainEvaluator:
                 small_run += 1
             else:
                 small_run = 0
-            if small_run >= 2 and m - m0 >= min_steps:
+            if small_run >= 2 and m - m0 >= _MIN_STEPS:
                 return ChainValue(value=g, m_used=m, last_increment=inc,
                                   converged=True, history=tuple(history))
         last_inc = history[-1][2] if history else 0.0
@@ -204,28 +199,22 @@ class ChainEvaluator:
 
     def eval_many(self, t: float, points) -> list[ChainValue]:
         """Evaluate the time-t limit map at each row of points."""
-        pts = np.asarray(points, dtype=complex)
-        if pts.ndim == 1:
-            pts = pts[None, :]
+        pts = _check_points(points, self.field.dim)
         return [self.eval(t, pts[i]) for i in range(pts.shape[0])]
 
     # -- consistency checks ----------------------------------------------
 
     def identity_residual(self, s: float, t: float, z) -> float:
         """Relative defect of f_s(z) = f_t(phi_{s,t}(z)), s <= t."""
-        s = float(s)
-        t = float(t)
-        if not 0.0 <= s <= t:
-            raise InvalidInputError(f"need 0 <= s <= t, got {s}, {t}")
-        z = np.asarray(z, dtype=complex).reshape(-1)
+        s, t = _check_times(s, t)
+        z = _check_points(z, self.field.dim, single=True)[0]
         left = self.eval(s, z).value
         w, _ = _evolve_one(self.field, s, t, z.copy(), self.tol_ode)
         right = self.eval(t, w).value
         return float(np.linalg.norm(left - right)
                      / (1.0 + np.linalg.norm(left)))
 
-    def pde_residual(self, t: float, z, dt: float = 1e-4,
-                     dz: float = 1e-5) -> float:
+    def pde_residual(self, t: float, z, dt: float = 1e-4) -> float:
         """Relative defect of d/dt f_t(z) = Df_t(z) h(z, t).
 
         Time derivative by central difference over [t - dt, t + dt]
@@ -233,8 +222,8 @@ class ChainEvaluator:
         along each coordinate, legitimate since the maps are
         holomorphic in z.
         """
-        t = float(t)
-        z = np.asarray(z, dtype=complex).reshape(-1)
+        (t,) = _check_times(t)
+        z = _check_points(z, self.field.dim, single=True)[0]
         q = self.field.dim
         if t >= dt:
             f_plus = self.eval(t + dt, z).value
@@ -247,30 +236,25 @@ class ChainEvaluator:
         D = np.empty((q, q), dtype=complex)
         eye = np.eye(q, dtype=complex)
         for j in range(q):
-            fp = self.eval(t, z + dz * eye[j]).value
-            fm = self.eval(t, z - dz * eye[j]).value
-            D[:, j] = (fp - fm) / (2.0 * dz)
+            fp = self.eval(t, z + _DZ * eye[j]).value
+            fm = self.eval(t, z - _DZ * eye[j]).value
+            D[:, j] = (fp - fm) / (2.0 * _DZ)
         transport = D @ self.field.h(z, t)
         return float(np.linalg.norm(df_dt - transport)
                      / (1.0 + np.linalg.norm(transport)))
 
     def range_sample(self, t: float, *, radius: float = 0.5,
-                     shells: int = 3, directions: int = 8, seed: int = 0,
-                     spot_checks: int = 3) -> "RangeSample":
+                     shells: int = 3, directions: int = 8,
+                     seed: int = 0) -> "RangeSample":
         """Sample the time-t limit map over shells in |z| <= radius.
 
         Also spot-checks the inclusion of earlier images: each checked
         point verifies f_0(z) = f_t(phi_{0,t}(z)), which is what makes
         the image domains increase with t.
         """
-        if not 0.0 < radius < 1.0:
-            raise InvalidInputError(f"radius {radius} outside (0, 1)")
-        rng = np.random.default_rng(seed)
-        raw = (rng.standard_normal((directions, self.field.dim))
-               + 1j * rng.standard_normal((directions, self.field.dim)))
-        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        pts = np.concatenate(
-            [radius * (k + 1) / shells * dirs for k in range(shells)], axis=0)
+        radii = tuple(radius * (k + 1) / shells for k in range(shells))
+        pts = SamplePlan(radii=radii, directions=directions,
+                         seed=seed).states(self.field.dim)
         values = []
         all_converged = True
         for i in range(pts.shape[0]):
@@ -278,7 +262,7 @@ class ChainEvaluator:
             values.append(cv.value)
             all_converged &= cv.converged
         residuals = [self.identity_residual(0.0, t, pts[i])
-                     for i in range(min(spot_checks, pts.shape[0]))]
+                     for i in range(min(_SPOT_CHECKS, pts.shape[0]))]
         return RangeSample(t=t, points=pts, values=np.array(values),
                            converged=all_converged,
                            inclusion_residuals=tuple(residuals))

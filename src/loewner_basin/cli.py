@@ -44,9 +44,10 @@ from .errors import (ChainUnavailableError, DegenerateTransitionError,
                      EscapeError, FieldRejectedError, HorizonExhaustedError,
                      HypothesisViolationError, InvalidInputError,
                      NumericalFailureError, ScheduleRejectedError,
-                     StiffnessError, UnknownFamilyError)
+                     StiffnessError)
 from .fields import (FieldSpec, SamplePlan, builtin_field, class_n_check,
-                     growth_check, gurganus_check, load_field_file,
+                     check_real, complex_rows, growth_check, gurganus_check,
+                     parse_field_config, read_field_config,
                      remainder_order_check)
 from .flow import (FlowRequest, decay_bounds_check, evolve, semigroup_defect,
                    trace)
@@ -59,6 +60,21 @@ _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_REJECTED = 2
 _EXIT_NUMERICAL = 3
+
+#: exit code of each error type, matched in order, so FieldRejectedError
+#: precedes its base InvalidInputError (UnknownFamilyError is one too)
+_EXIT_CODES = {
+    FieldRejectedError: _EXIT_REJECTED,
+    InvalidInputError: _EXIT_USAGE,
+    ChainUnavailableError: _EXIT_REJECTED,
+    EscapeError: _EXIT_REJECTED,
+    HorizonExhaustedError: _EXIT_REJECTED,
+    HypothesisViolationError: _EXIT_REJECTED,
+    ScheduleRejectedError: _EXIT_REJECTED,
+    DegenerateTransitionError: _EXIT_NUMERICAL,
+    NumericalFailureError: _EXIT_NUMERICAL,
+    StiffnessError: _EXIT_NUMERICAL,
+}
 
 
 class _CliUsageError(Exception):
@@ -176,14 +192,7 @@ def _parse_params(items) -> dict:
 def _load_field(args) -> tuple[FieldSpec, dict]:
     """Build the field and the canonical config fragment describing it."""
     if args.field is not None:
-        with open(args.field, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            cfg = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(
-                f"field file is not valid JSON: {exc}") from None
-        from .fields import parse_field_config
+        cfg = read_field_config(args.field)
         field = parse_field_config(cfg)
         descriptor = {"source": "file", "config": cfg}
     else:
@@ -202,14 +211,14 @@ def _check_run_config(args):
             f"--horizon {args.horizon} outside [1, 10000]")
 
 
-def _parse_floats(text, what) -> list[float]:
+def _parse_floats(text, what, sep=",") -> list[float]:
     try:
-        vals = [float(x) for x in text.split(",") if x.strip() != ""]
+        vals = [float(x) for x in text.split(sep) if x.strip() != ""]
     except ValueError:
         raise InvalidInputError(f"bad {what}: {text!r}") from None
     if not vals:
         raise InvalidInputError(f"empty {what}")
-    return vals
+    return [check_real(v, what) for v in vals]
 
 
 def _parse_grid(text) -> np.ndarray:
@@ -226,31 +235,11 @@ def _parse_grid(text) -> np.ndarray:
 
 
 def _parse_intervals(text) -> list[tuple[float, float]]:
-    out = []
-    for piece in text.split(","):
-        if not piece.strip():
-            continue
-        parts = piece.split(":")
-        if len(parts) != 2:
-            raise InvalidInputError(f"bad interval {piece!r} (need a:b)")
-        try:
-            a, b = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise InvalidInputError(f"bad interval {piece!r}") from None
-        out.append((a, b))
-    if not out:
-        raise InvalidInputError("no decay intervals given")
+    out = [tuple(_parse_floats(piece, "--intervals", ":"))
+           for piece in text.split(",") if piece.strip()]
+    if not out or any(len(ab) != 2 for ab in out):
+        raise InvalidInputError(f"bad --intervals {text!r} (need a:b,...)")
     return out
-
-
-def _entry_to_complex(entry) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(float(entry), 0.0)
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(x, (int, float)) for x in entry)):
-        return complex(entry[0], entry[1])
-    raise InvalidInputError(
-        f"state entries must be reals or [re, im] pairs, got {entry!r}")
 
 
 def _parse_points(text, dim) -> np.ndarray:
@@ -258,15 +247,7 @@ def _parse_points(text, dim) -> np.ndarray:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"--points is not valid JSON: {exc}") from None
-    if not isinstance(data, list) or not data:
-        raise InvalidInputError("--points must be a non-empty JSON list")
-    pts = []
-    for i, raw in enumerate(data):
-        if not isinstance(raw, list) or len(raw) != dim:
-            raise InvalidInputError(
-                f"state {i} must be a list of {dim} entries")
-        pts.append([_entry_to_complex(e) for e in raw])
-    return np.asarray(pts, dtype=complex)
+    return complex_rows(data, dim, "--points")
 
 
 def _default_points(args, dim) -> np.ndarray:
@@ -292,11 +273,6 @@ def _c2j(x) -> list:
 
 def _vec2j(v) -> list:
     return [_c2j(x) for x in np.asarray(v).reshape(-1)]
-
-
-def _mat2j(M) -> list:
-    M = np.asarray(M)
-    return [[_c2j(x) for x in row] for row in M]
 
 
 def _canonical(obj) -> str:
@@ -359,7 +335,7 @@ def _cmd_analyze(args, field: FieldSpec) -> tuple[dict, int]:
     result = {
         "dim": field.dim,
         "family": field.family_tag,
-        "regularity": field.regularity,
+        "regularity": FieldSpec.regularity,
         "class_n": class_n.to_json_dict(),
         "sandwich": sandwich.to_json_dict(),
         "growth": growth.to_json_dict(),
@@ -620,43 +596,32 @@ def main(argv=None) -> int:
             "manifest": _make_manifest(args, descriptor),
             "result": result,
         }
-    except FieldRejectedError as exc:
-        payload = _error_payload(args, "field-rejected", exc)
-        payload["error"]["witnesses"] = [
-            {"z": _vec2j(w[0]), "t": w[1], "value": w[2]}
-            for w in (exc.witnesses or [])[:8]]
-        code = _EXIT_REJECTED
-    except (ChainUnavailableError, HorizonExhaustedError,
-            HypothesisViolationError, EscapeError) as exc:
-        payload = _error_payload(args, type(exc).__name__, exc)
-        code = _EXIT_REJECTED
-    except ScheduleRejectedError as exc:
-        payload = _error_payload(args, "ScheduleRejectedError", exc)
-        if exc.schedule is not None:
-            payload["error"]["schedule"] = exc.schedule.to_json_dict()
-        code = _EXIT_REJECTED
-    except (UnknownFamilyError, InvalidInputError, FileNotFoundError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_USAGE
-    except (StiffnessError, NumericalFailureError,
-            DegenerateTransitionError) as exc:
-        payload = _error_payload(args, type(exc).__name__, exc)
-        code = _EXIT_NUMERICAL
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for kind, c in _EXIT_CODES.items()
+                    if isinstance(exc, kind))
+        if code == _EXIT_USAGE:
+            sys.stderr.write(f"error: {exc}\n")
+            return code
+        payload = _error_payload(args, exc, code)
 
     _emit(payload, args, files)
     return code
 
 
-def _error_payload(args, kind: str, exc: Exception) -> dict:
+def _error_payload(args, exc: Exception, code: int) -> dict:
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, FieldRejectedError):
+        error["type"] = "field-rejected"
+        error["witnesses"] = [{"z": _vec2j(w[0]), "t": w[1], "value": w[2]}
+                              for w in exc.witnesses[:8]]
+    if isinstance(exc, ScheduleRejectedError) and exc.schedule is not None:
+        error["schedule"] = exc.schedule.to_json_dict()
     return {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "status": "rejected" if kind not in ("StiffnessError",
-                                             "NumericalFailureError",
-                                             "DegenerateTransitionError")
-        else "failed",
+        "status": "failed" if code == _EXIT_NUMERICAL else "rejected",
         "manifest": {"schema_version": SCHEMA_VERSION},
-        "error": {"type": kind, "message": str(exc)},
+        "error": error,
     }
 
 

@@ -8,7 +8,7 @@ this module provides:
 * ``FieldSpec``: dimension, validated linear part (a ``LinearPath``),
   a vectorized remainder callable with zero value and zero Jacobian at
   the origin, optional exact quadratic coefficients at 0, declared
-  time breakpoints, and a regularity tag;
+  and time breakpoints;
 * built-in families via ``builtin_field``: ``constant-linear``,
   ``diagonal-periodic``, ``koebe-1d`` (the one-dimensional field
   z (1 - z) / (1 + z) whose chain is the Koebe function), and
@@ -19,7 +19,9 @@ this module provides:
   ``growth_check`` (|h(z, t)| <= 4 r / (1 - r)^2 * ||A(t)|| on
   |z| <= r);
 * a strict JSON file format for custom polynomial fields (unknown
-  keys rejected) via ``load_field_file``;
+  keys rejected) via ``load_field_file``, whose number and entry rules
+  (``check_real``, ``complex_rows``) the built-ins, the flow and the
+  command line share;
 * ``builtin_corpus``: the fixed list of named instances exercised by
   the verification suite.
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -38,7 +41,8 @@ import numpy as np
 
 from .errors import (FieldRejectedError, InvalidInputError,
                      UnknownFamilyError)
-from .linear import (MAX_DIM, LinearPath, operator_norm, validate_matrix)
+from .linear import (LinearPath, as_complex_array, check_dim, operator_norm,
+                     validate_matrix)
 
 #: slack below which a sampled sandwich/growth inequality counts as violated
 INEQUALITY_SLACK = -1e-10
@@ -78,14 +82,15 @@ class SamplePlan:
             raise InvalidInputError("directions must be >= 1")
 
     def states(self, dim: int) -> np.ndarray:
-        """All sample states, shape (len(radii) * directions, dim)."""
+        """All sample states, shape (len(radii) * directions, dim): the
+        same seeded unit directions (complex Gaussian draws, all real
+        parts first, normalized) scaled to each radius in turn.  Every
+        sampler of the package draws its states here."""
         rng = np.random.default_rng(self.seed)
         raw = (rng.standard_normal((self.directions, dim))
                + 1j * rng.standard_normal((self.directions, dim)))
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        dirs = raw / norms
-        shells = [r * dirs for r in self.radii]
-        return np.concatenate(shells, axis=0)
+        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        return np.concatenate([r * dirs for r in self.radii], axis=0)
 
 
 @dataclass
@@ -109,8 +114,6 @@ class FieldSpec:
         Name of the construction recipe ("custom" for file-loaded).
     breakpoints : tuple of float
         Times where h may jump in t; integrators never straddle them.
-    regularity : str
-        Declared smoothness in t between breakpoints.
     """
 
     dim: int
@@ -119,11 +122,11 @@ class FieldSpec:
     quadratic: object = None
     family_tag: str = "custom"
     breakpoints: tuple = ()
-    regularity: str = "piecewise-continuous-in-t"
+    #: smoothness in t between breakpoints, assumed of every field
+    regularity = "piecewise-continuous-in-t"
 
     def __post_init__(self):
-        if not 1 <= self.dim <= MAX_DIM:
-            raise InvalidInputError(f"dimension {self.dim} outside [1, {MAX_DIM}]")
+        check_dim(self.dim)
         if self.linear.dim != self.dim:
             raise InvalidInputError("linear part dimension mismatch")
         self.breakpoints = tuple(sorted(set(self.breakpoints)
@@ -175,6 +178,66 @@ class FieldSpec:
 
 
 # ---------------------------------------------------------------------------
+# admission rules shared by the built-ins, field files and the CLI
+
+
+def _check_keys(obj: dict, allowed, what: str) -> None:
+    """Reject any key of ``obj`` outside ``allowed``; ``what`` names them."""
+    extra = set(obj) - set(allowed)
+    if extra:
+        raise InvalidInputError(f"unknown {what}: {sorted(extra)}")
+
+
+def check_real(x, name: str) -> float:
+    """``x`` as a float if it is a finite real number; booleans, strings,
+    None and containers are rejected."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            if math.isfinite(value := float(x)):
+                return value
+        except OverflowError:
+            pass
+    raise InvalidInputError(f"{name} must be a finite real, got {x!r}")
+
+
+def _complex_entry(x, name: str) -> complex:
+    """A matrix or state entry: a finite real, or an [re, im] pair of them."""
+    pair = x if isinstance(x, list) and len(x) == 2 else (x, 0.0)
+    try:
+        return complex(check_real(pair[0], name), check_real(pair[1], name))
+    except InvalidInputError:
+        raise InvalidInputError(f"{name} must be a finite real or an [re, im] "
+                                f"pair, got {x!r}") from None
+
+
+def complex_rows(obj, cols: int, name: str, rows: int | None = None
+                 ) -> np.ndarray:
+    """A non-empty JSON list of rows of ``cols`` entries, each a finite
+    real or an [re, im] pair, as a complex array; ``rows`` fixes the row
+    count."""
+    if not isinstance(obj, list) or not obj or (rows is not None
+                                                and len(obj) != rows):
+        raise InvalidInputError(f"{name} must be a list of "
+                                f"{rows or 'one or more'} rows of {cols} entries")
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != cols:
+            raise InvalidInputError(f"{name} row {i} must have {cols} entries")
+    return np.array([[_complex_entry(x, f"{name}[{i}][{j}]")
+                      for j, x in enumerate(row)]
+                     for i, row in enumerate(obj)], dtype=complex)
+
+
+def _real_list(x, q: int, name: str) -> np.ndarray:
+    if not isinstance(x, (list, tuple, np.ndarray)) or len(x) != q:
+        raise InvalidInputError(f"{name} must be a list of {q} reals")
+    return np.array([check_real(v, f"{name}[{i}]") for i, v in enumerate(x)])
+
+
+def _is_index(x, q: int) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < q
+
+
+# ---------------------------------------------------------------------------
 # built-in families
 
 
@@ -182,48 +245,35 @@ def _zero_remainder(z, t):
     return np.zeros_like(np.asarray(z, dtype=complex))
 
 
-def _as_float_list(x, q, name) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (q,):
-        raise InvalidInputError(f"{name} must be a list of {q} reals")
-    return arr
+def _matrix_or_identity(params: dict, family: str) -> np.ndarray:
+    if "matrix" in params:
+        return validate_matrix(params["matrix"])
+    if "dim" in params:
+        return np.eye(check_dim(params["dim"], "dim"), dtype=complex)
+    raise InvalidInputError(f"{family} needs 'matrix' or 'dim'")
 
 
 def _constant_linear(params: dict) -> FieldSpec:
-    if "matrix" in params:
-        A = validate_matrix(params["matrix"])
-    elif "dim" in params:
-        q = int(params["dim"])
-        if not 1 <= q <= MAX_DIM:
-            raise InvalidInputError(f"dim {q} outside [1, {MAX_DIM}]")
-        A = np.eye(q, dtype=complex)
-    else:
-        raise InvalidInputError("constant-linear needs 'matrix' or 'dim'")
-    extra = set(params) - {"matrix", "dim"}
-    if extra:
-        raise InvalidInputError(f"unknown constant-linear params: {sorted(extra)}")
-    path = LinearPath.constant(A)
+    _check_keys(params, ("matrix", "dim"), "constant-linear params")
+    path = LinearPath.constant(_matrix_or_identity(params, "constant-linear"))
     return FieldSpec(dim=path.dim, linear=path, remainder=_zero_remainder,
                      quadratic=np.zeros((path.dim,) * 3, dtype=complex),
                      family_tag="constant-linear")
 
 
 def _diagonal_periodic(params: dict) -> FieldSpec:
+    _check_keys(params, ("base", "amplitude", "frequency", "phase"),
+               "diagonal-periodic params")
     base = params.get("base", (1.0, 1.0))
     if not isinstance(base, (list, tuple)):
         raise InvalidInputError("base must be a list of reals")
-    q = len(base)
-    if not 1 <= q <= MAX_DIM:
-        raise InvalidInputError(f"dim {q} outside [1, {MAX_DIM}]")
-    base = _as_float_list(base, q, "base")
+    q = check_dim(len(base), "number of base entries")
+    base = _real_list(base, q, "base")
     # only the last diagonal entry oscillates unless amplitudes are given
-    amplitude = _as_float_list(params.get("amplitude", [0.0] * (q - 1) + [0.5]),
-                               q, "amplitude")
-    frequency = _as_float_list(params.get("frequency", [1.0] * q), q, "frequency")
-    phase = _as_float_list(params.get("phase", [0.0] * q), q, "phase")
-    extra = set(params) - {"base", "amplitude", "frequency", "phase"}
-    if extra:
-        raise InvalidInputError(f"unknown diagonal-periodic params: {sorted(extra)}")
+    amplitude = _real_list(params.get("amplitude", [0.0] * (q - 1) + [0.5]),
+                           q, "amplitude")
+    frequency = _real_list(params.get("frequency", [1.0] * q), q, "frequency")
+    phase = _real_list(params.get("phase", [0.0] * q), q, "phase")
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
         As = np.zeros((ts.size, q * q), dtype=complex)
@@ -244,8 +294,7 @@ def _koebe_remainder(z, t):
 
 
 def _koebe_1d(params: dict) -> FieldSpec:
-    if params:
-        raise InvalidInputError(f"koebe-1d takes no params, got {sorted(params)}")
+    _check_keys(params, (), "koebe-1d params")
     path = LinearPath.constant(np.eye(1, dtype=complex))
     Hq = np.zeros((1, 1, 1), dtype=complex)
     Hq[0, 0, 0] = -2.0
@@ -263,28 +312,19 @@ def _default_quadratic_tensor(q: int) -> np.ndarray:
 
 
 def _quadratic_perturbation(params: dict) -> FieldSpec:
-    if "matrix" in params:
-        A = validate_matrix(params["matrix"])
-        q = A.shape[0]
-    elif "dim" in params:
-        q = int(params["dim"])
-        if not 1 <= q <= MAX_DIM:
-            raise InvalidInputError(f"dim {q} outside [1, {MAX_DIM}]")
-        A = np.eye(q, dtype=complex)
-    else:
-        raise InvalidInputError("quadratic-perturbation needs 'matrix' or 'dim'")
-    eps = float(params.get("epsilon", 0.1))
+    _check_keys(params, ("matrix", "dim", "epsilon", "quadratic"),
+               "quadratic-perturbation params")
+    A = _matrix_or_identity(params, "quadratic-perturbation")
+    q = A.shape[0]
+    eps = check_real(params.get("epsilon", 0.1), "epsilon")
     if "quadratic" in params:
-        B = np.asarray(params["quadratic"], dtype=complex)
-        if B.shape != (q, q, q):
-            raise InvalidInputError(f"quadratic tensor must have shape {(q,q,q)}")
+        B = as_complex_array(params["quadratic"], "quadratic tensor")
+        if B.shape != (q, q, q) or not np.isfinite(B).all():
+            raise InvalidInputError(
+                f"quadratic tensor must be finite with shape {(q, q, q)}")
         B = 0.5 * (B + np.swapaxes(B, 1, 2))
     else:
         B = _default_quadratic_tensor(q)
-    extra = set(params) - {"matrix", "dim", "epsilon", "quadratic"}
-    if extra:
-        raise InvalidInputError(
-            f"unknown quadratic-perturbation params: {sorted(extra)}")
     T = eps * B
 
     def remainder(z, t):
@@ -483,8 +523,6 @@ class GrowthReport:
 def growth_check(field: FieldSpec, r: float, times=(0.0, 0.5, 1.0, 2.0),
                  *, directions: int = 512, seed: int = 0) -> GrowthReport:
     """Verify the growth bound at shells of radius up to r (0 < r < 1)."""
-    if not 0.0 < r < 1.0:
-        raise InvalidInputError(f"radius {r} outside (0, 1)")
     plan = SamplePlan(radii=(0.25 * r, 0.5 * r, 0.75 * r, r),
                       directions=directions, times=tuple(times), seed=seed)
     Z = plan.states(field.dim)
@@ -534,30 +572,11 @@ def remainder_order_check(field: FieldSpec, times=(0.0, 1.0),
 # custom field files
 
 
-_TOP_KEYS = {"dim", "breakpoints", "linear", "quadratic"}
-_CONST_BLOCK_KEYS = {"until", "constant"}
-_TRIG_BLOCK_KEYS = {"until", "base", "sin", "cos", "frequency"}
-_QUAD_KEYS = {"out_index", "in_indices", "coeff_re", "coeff_im", "time_profile"}
-_PROFILE_KEYS = {"kind", "offset", "amplitude", "frequency", "phase"}
-
-
-def _parse_matrix(obj, q: int, name: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != q:
-        raise InvalidInputError(f"{name} must be a {q}x{q} matrix")
-    M = np.zeros((q, q), dtype=complex)
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != q:
-            raise InvalidInputError(f"{name} row {i} must have {q} entries")
-        for j, entry in enumerate(row):
-            if isinstance(entry, (int, float)):
-                M[i, j] = float(entry)
-            elif (isinstance(entry, list) and len(entry) == 2
-                  and all(isinstance(x, (int, float)) for x in entry)):
-                M[i, j] = complex(entry[0], entry[1])
-            else:
-                raise InvalidInputError(
-                    f"{name}[{i}][{j}] must be a real or an [re, im] pair")
-    return M
+_TOP_KEYS = ("dim", "breakpoints", "linear", "quadratic")
+_CONST_BLOCK_KEYS = ("until", "constant")
+_TRIG_BLOCK_KEYS = ("until", "base", "sin", "cos", "frequency")
+_QUAD_KEYS = ("out_index", "in_indices", "coeff_re", "coeff_im", "time_profile")
+_PROFILE_KEYS = ("kind", "offset", "amplitude", "frequency", "phase")
 
 
 def _parse_profile(obj):
@@ -565,26 +584,23 @@ def _parse_profile(obj):
         return None  # means multiply by 1
     if not isinstance(obj, dict):
         raise InvalidInputError("time_profile must be 'constant' or an object")
-    extra = set(obj) - _PROFILE_KEYS
-    if extra:
-        raise InvalidInputError(f"unknown time_profile keys: {sorted(extra)}")
+    _check_keys(obj, _PROFILE_KEYS, "time_profile keys")
     if obj.get("kind") != "trig":
         raise InvalidInputError("time_profile.kind must be 'trig'")
-    off = float(obj.get("offset", 0.0))
-    amp = float(obj.get("amplitude", 1.0))
-    freq = float(obj.get("frequency", 1.0))
-    ph = float(obj.get("phase", 0.0))
-    return (off, amp, freq, ph)
+    return tuple(check_real(obj.get(key, default), f"time_profile.{key}")
+                 for key, default in (("offset", 0.0), ("amplitude", 1.0),
+                                      ("frequency", 1.0), ("phase", 0.0)))
 
 
 def parse_field_config(cfg: dict) -> FieldSpec:
     """Build a FieldSpec from the strict JSON schema.
 
-    Top-level keys: ``dim`` (required), ``linear`` (required, a list of
-    piecewise blocks), ``breakpoints`` (optional), ``quadratic``
-    (optional, a list of coefficient records).  Unknown keys anywhere
-    are rejected.  Matrix entries are reals or [re, im] pairs; indices
-    are 0-based.  A linear block is either
+    Top-level keys: ``dim`` (required, an integer in [1, 8]), ``linear``
+    (required, a list of piecewise blocks), ``breakpoints`` (optional),
+    ``quadratic`` (optional, a list of coefficient records).  Unknown
+    keys anywhere are rejected.  Every number is a finite real (JSON
+    booleans, strings and NaN are rejected); matrix entries are reals or
+    [re, im] pairs; indices are 0-based.  A linear block is either
     ``{"until": T | null, "constant": M}`` or
     ``{"until": ..., "base": M, "sin": M, "cos": M, "frequency": w}``
     meaning A(t) = base + sin(w t) * sin_M + cos(w t) * cos_M on its
@@ -598,18 +614,14 @@ def parse_field_config(cfg: dict) -> FieldSpec:
     """
     if not isinstance(cfg, dict):
         raise InvalidInputError("field config must be a JSON object")
-    extra = set(cfg) - _TOP_KEYS
-    if extra:
-        raise InvalidInputError(f"unknown field config keys: {sorted(extra)}")
+    _check_keys(cfg, _TOP_KEYS, "field config keys")
     if "dim" not in cfg or "linear" not in cfg:
         raise InvalidInputError("field config requires 'dim' and 'linear'")
-    q = cfg["dim"]
-    if not isinstance(q, int) or not 1 <= q <= MAX_DIM:
-        raise InvalidInputError(f"dim must be an integer in [1, {MAX_DIM}]")
+    q = check_dim(cfg["dim"], "dim")
     declared_bps = cfg.get("breakpoints", [])
     if not isinstance(declared_bps, list):
         raise InvalidInputError("breakpoints must be a list of reals")
-    breakpoints = [float(b) for b in declared_bps]
+    breakpoints = [check_real(b, "breakpoint") for b in declared_bps]
 
     blocks_cfg = cfg["linear"]
     if not isinstance(blocks_cfg, list) or not blocks_cfg:
@@ -628,32 +640,24 @@ def parse_field_config(cfg: dict) -> FieldSpec:
             if until is not None:
                 raise InvalidInputError("the last linear block must have until: null")
         else:
-            if not isinstance(until, (int, float)) or float(until) <= prev_until:
+            until = check_real(until, f"linear block {bi} until")
+            if until <= prev_until:
                 raise InvalidInputError(
                     f"linear block {bi} needs an increasing 'until' time")
-            until = float(until)
             prev_until = until
+
+        def matrix(key):
+            return complex_rows(blk[key], q, f"block {bi} {key}", rows=q) \
+                if key in blk else zero
+
         if "constant" in blk:
-            extra = set(blk) - _CONST_BLOCK_KEYS
-            if extra:
-                raise InvalidInputError(
-                    f"unknown keys in linear block {bi}: {sorted(extra)}")
-            blocks.append((until,
-                           _parse_matrix(blk["constant"], q, f"block {bi}"),
-                           zero, zero, 0.0))
+            _check_keys(blk, _CONST_BLOCK_KEYS, f"keys in linear block {bi}")
+            blocks.append((until, matrix("constant"), zero, zero, 0.0))
         else:
-            extra = set(blk) - _TRIG_BLOCK_KEYS
-            if extra:
-                raise InvalidInputError(
-                    f"unknown keys in linear block {bi}: {sorted(extra)}")
-            base = _parse_matrix(blk["base"], q, f"block {bi} base") \
-                if "base" in blk else zero
-            sinM = _parse_matrix(blk["sin"], q, f"block {bi} sin") \
-                if "sin" in blk else zero
-            cosM = _parse_matrix(blk["cos"], q, f"block {bi} cos") \
-                if "cos" in blk else zero
-            freq = float(blk.get("frequency", 1.0))
-            blocks.append((until, base, sinM, cosM, freq))
+            _check_keys(blk, _TRIG_BLOCK_KEYS, f"keys in linear block {bi}")
+            blocks.append((until, matrix("base"), matrix("sin"), matrix("cos"),
+                           check_real(blk.get("frequency", 1.0),
+                                      f"linear block {bi} frequency")))
     block_edges = np.array([b[0] for b in blocks[:-1]])
     breakpoints = sorted(set(breakpoints) | set(block_edges.tolist()))
     coeffs = np.array([b[1:4] for b in blocks])    # (blocks, 3, q, q)
@@ -673,26 +677,23 @@ def parse_field_config(cfg: dict) -> FieldSpec:
     for ri, rec in enumerate(quad_cfg):
         if not isinstance(rec, dict):
             raise InvalidInputError(f"quadratic record {ri} must be an object")
-        extra = set(rec) - _QUAD_KEYS
-        if extra:
-            raise InvalidInputError(
-                f"unknown keys in quadratic record {ri}: {sorted(extra)}")
+        _check_keys(rec, _QUAD_KEYS, f"keys in quadratic record {ri}")
         try:
             out = rec["out_index"]
             jk = rec["in_indices"]
         except KeyError as exc:
             raise InvalidInputError(
                 f"quadratic record {ri} missing {exc.args[0]}") from None
-        if not isinstance(out, int) or not 0 <= out < q:
+        if not _is_index(out, q):
             raise InvalidInputError(
                 f"quadratic record {ri}: out_index outside [0, {q - 1}]")
         if (not isinstance(jk, list) or len(jk) != 2
-                or not all(isinstance(x, int) and 0 <= x < q for x in jk)):
+                or not all(_is_index(x, q) for x in jk)):
             raise InvalidInputError(
                 f"quadratic record {ri}: in_indices must be two indices in "
                 f"[0, {q - 1}]")
-        coeff = complex(float(rec.get("coeff_re", 0.0)),
-                        float(rec.get("coeff_im", 0.0)))
+        coeff = complex(check_real(rec.get("coeff_re", 0.0), "coeff_re"),
+                        check_real(rec.get("coeff_im", 0.0), "coeff_im"))
         profile = _parse_profile(rec.get("time_profile", "constant"))
         records.append((out, jk[0], jk[1], coeff, profile))
 
@@ -730,11 +731,18 @@ def parse_field_config(cfg: dict) -> FieldSpec:
                      family_tag="custom", breakpoints=tuple(breakpoints))
 
 
+def read_field_config(path: str):
+    """The JSON document in a field file.  A file that cannot be opened or
+    is not UTF-8 JSON raises InvalidInputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read field file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"field file is not valid JSON: {exc}") from None
+
+
 def load_field_file(path: str) -> FieldSpec:
     """Load a custom field from a JSON file (strict schema)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"field file is not valid JSON: {exc}") from None
-    return parse_field_config(cfg)
+    return parse_field_config(read_field_config(path))

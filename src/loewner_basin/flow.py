@@ -30,29 +30,32 @@ import numpy as np
 
 from ._integrate import StepStats, check_tol, integrate_adaptive
 from .errors import InvalidInputError
-from .fields import C_of, FieldSpec, c_of
+from .fields import C_of, FieldSpec, c_of, check_real
+from .linear import as_complex_array
 
 #: states may not come within this distance of the unit sphere
 ESCAPE_MARGIN = 1e-9
 
 
-def _check_times(s: float, t: float) -> tuple[float, float]:
-    s = float(s)
-    t = float(t)
-    if not (math.isfinite(s) and math.isfinite(t)):
-        raise InvalidInputError("times must be finite")
-    if s < 0.0 or t < s:
-        raise InvalidInputError(f"need 0 <= s <= t, got s={s}, t={t}")
-    return s, t
+def _check_times(*times) -> tuple[float, ...]:
+    """The times as floats: finite reals with 0 <= t_0 <= t_1 <= ..."""
+    ts = tuple(check_real(x, "time") for x in times)
+    if ts[0] < 0.0 or any(b < a for a, b in zip(ts, ts[1:])):
+        raise InvalidInputError(
+            f"times must be >= 0 and in order, got {', '.join(map(str, ts))}")
+    return ts
 
 
-def _check_points(points, dim: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=complex)
+def _check_points(points, dim: int, *, single: bool = False) -> np.ndarray:
+    """States as a complex (n, dim) array: finite and inside the open unit
+    ball; ``single`` requires n = 1 (a state of shape (dim,) or (1, dim))."""
+    pts = as_complex_array(points, "points")
     if pts.ndim == 1:
         pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != dim:
+    if pts.ndim != 2 or pts.shape[1] != dim or single and pts.shape[0] != 1:
+        want = f"({dim},)" if single else f"(n, {dim})"
         raise InvalidInputError(
-            f"points must have shape (n, {dim}), got {pts.shape}")
+            f"points must have shape {want}, got {np.shape(points)}")
     if not np.all(np.isfinite(pts.view(float))):
         raise InvalidInputError("points must be finite")
     radii = np.linalg.norm(pts, axis=1)
@@ -146,7 +149,7 @@ def trace(field: FieldSpec, s: float, t: float, z, tol: float = 1e-10
     grid is not uniform.
     """
     s, t = _check_times(s, t)
-    z = _check_points(z, field.dim)[0]
+    z = _check_points(z, field.dim, single=True)[0]
     times = [s]
     states = [z.copy()]
 
@@ -154,7 +157,7 @@ def trace(field: FieldSpec, s: float, t: float, z, tol: float = 1e-10
         times.append(float(tau))
         states.append(y)
 
-    w, _ = _evolve_one(field, s, t, z, check_tol(tol), on_step=on_step)
+    w, _ = _evolve_one(field, s, t, z, tol, on_step=on_step)
     if not times or times[-1] != t:
         times.append(t)
         states.append(w)
@@ -165,13 +168,9 @@ def semigroup_defect(field: FieldSpec, s: float, u: float, t: float,
                      points, tol: float = 1e-10) -> float:
     """Largest 2-norm of phi_{u,t}(phi_{s,u}(z)) - phi_{s,t}(z)
     over the given start points; requires s <= u <= t."""
-    s, t = _check_times(s, t)
-    u = float(u)
-    if not s <= u <= t:
-        raise InvalidInputError(f"need s <= u <= t, got {s}, {u}, {t}")
-    pts = _check_points(points, field.dim)
-    direct = evolve(FlowRequest(field=field, s=s, t=t, points=pts, tol=tol))
-    leg1 = evolve(FlowRequest(field=field, s=s, t=u, points=pts, tol=tol))
+    s, u, t = _check_times(s, u, t)
+    direct = evolve(FlowRequest(field=field, s=s, t=t, points=points, tol=tol))
+    leg1 = evolve(FlowRequest(field=field, s=s, t=u, points=points, tol=tol))
     leg2 = evolve(FlowRequest(field=field, s=u, t=t, points=leg1.images,
                               tol=tol))
     return float(np.max(np.linalg.norm(leg2.images - direct.images, axis=1)))
@@ -228,16 +227,15 @@ def decay_bounds_check(field: FieldSpec, s: float, t: float, points,
     """Evolve points and compare the measured modulus ratio with the
     two-sided decay estimate.  Start points must be nonzero (the ratio
     is undefined at the origin)."""
-    s, t = _check_times(s, t)
-    pts = _check_points(points, field.dim)
+    req = FlowRequest(field=field, s=s, t=t, points=points, tol=tol)
+    s, t, pts = req.s, req.t, req.points
     radii = np.linalg.norm(pts, axis=1)
     if np.any(radii == 0.0):
         raise InvalidInputError("decay bounds need nonzero start points")
-    tol = check_tol(tol)
     M_int = field.linear.M(t) - field.linear.M(s)
     K_int = field.linear.K(t) - field.linear.K(s)
-    slack_log = field.linear.quad_tol + 20.0 * tol
-    result = evolve(FlowRequest(field=field, s=s, t=t, points=pts, tol=tol))
+    slack_log = field.linear.quad_tol + 20.0 * req.tol
+    result = evolve(req)
     out_radii = np.linalg.norm(result.images, axis=1)
     min_lo = math.inf
     min_hi = math.inf
@@ -307,7 +305,6 @@ def jet2_transition(field: FieldSpec, s: float, t: float,
     derivative of -h(w, tau) along w = J z + Q(z, z) + O(3).
     """
     s, t = _check_times(s, t)
-    tol = check_tol(tol)
     q = field.dim
     nJ = q * q
 

@@ -47,16 +47,37 @@ GRID_MARGIN = 1e-8
 COMMUTATOR_TOL = 1e-10
 #: running condition-estimate cap for accumulated inverse products
 CONDITION_CAP = 1e12
+#: grid points between which classify_hypotheses tests commutation
+_COMMUTATION_ANCHORS = 7
+
+
+def check_dim(q, what: str = "dimension") -> int:
+    """Return ``q`` if it is an integer (not a bool) in [1, MAX_DIM]."""
+    if (isinstance(q, bool) or not isinstance(q, (int, np.integer))
+            or not 1 <= q <= MAX_DIM):
+        raise InvalidInputError(
+            f"{what} must be an integer in [1, {MAX_DIM}], got {q!r}")
+    return int(q)
+
+
+def as_complex_array(x, what: str = "matrix") -> np.ndarray:
+    """``x`` as a complex array; entries that are not numbers (booleans
+    and strings included) raise InvalidInputError."""
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind not in "iufc":
+            raise TypeError(f"entries of type {arr.dtype} are not numbers")
+        return arr.astype(complex, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"bad {what}: {exc}") from None
 
 
 def validate_matrix(A) -> np.ndarray:
     """Coerce to a square complex matrix with dim in [1, 8], all finite."""
-    M = np.asarray(A, dtype=complex)
+    M = as_complex_array(A)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
-    q = M.shape[0]
-    if not 1 <= q <= MAX_DIM:
-        raise InvalidInputError(f"dimension {q} outside [1, {MAX_DIM}]")
+    check_dim(M.shape[0])
     if not np.isfinite(M).all():
         raise InvalidInputError("matrix has non-finite entries")
     return M
@@ -215,9 +236,7 @@ class LinearPath:
     def __init__(self, dim: int, evaluate: Callable[[np.ndarray], np.ndarray],
                  *, breakpoints=(), quad_tol: float = 1e-10,
                  constant_matrix: np.ndarray | None = None):
-        if not 1 <= dim <= MAX_DIM:
-            raise InvalidInputError(f"dimension {dim} outside [1, {MAX_DIM}]")
-        self.dim = dim
+        self.dim = check_dim(dim)
         self.evaluate = evaluate
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
         self.quad_tol = check_tol(quad_tol, "quadrature tolerance")
@@ -235,12 +254,12 @@ class LinearPath:
             self._const = (A0, mk.m, mk.k)
 
     @classmethod
-    def constant(cls, A, *, quad_tol: float = 1e-10) -> "LinearPath":
+    def constant(cls, A) -> "LinearPath":
         """Path with A(t) identically equal to the given matrix."""
         A = validate_matrix(A)
         return cls(A.shape[0],
                    lambda ts: np.broadcast_to(A, (len(ts),) + A.shape),
-                   quad_tol=quad_tol, constant_matrix=A)
+                   constant_matrix=A)
 
     @classmethod
     def from_callable(cls, dim: int, fn: Callable[[float], np.ndarray],
@@ -417,8 +436,7 @@ def _combine(parts: list[str]) -> str:
     return VERDICT_SATISFIED
 
 
-def classify_hypotheses(path: LinearPath, grid, *,
-                        commutation_anchors: int = 7) -> HypothesisReport:
+def classify_hypotheses(path: LinearPath, grid) -> HypothesisReport:
     """Check the four sufficient-condition sets on a time grid.
 
     The criteria, named by what they require of A(t):
@@ -498,7 +516,7 @@ def classify_hypotheses(path: LinearPath, grid, *,
         parts.append(VERDICT_SATISFIED)
     else:
         idx = np.unique(np.linspace(0, grid.size - 1,
-                                    commutation_anchors).astype(int))
+                                    _COMMUTATION_ANCHORS).astype(int))
         anchors = grid[idx]
         prefixes = [path.integral_matrix(float(grid[0]), float(a))
                     for a in anchors]
@@ -584,9 +602,7 @@ class InverseTransitionProduct:
 
     @classmethod
     def identity(cls, dim: int) -> "InverseTransitionProduct":
-        if not 1 <= dim <= MAX_DIM:
-            raise InvalidInputError(f"dimension {dim} outside [1, {MAX_DIM}]")
-        return cls(dim)
+        return cls(check_dim(dim))
 
     def __len__(self) -> int:
         return len(self._factors)

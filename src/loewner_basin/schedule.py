@@ -34,13 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integrate import check_tol
 from .errors import (HorizonExhaustedError, InvalidInputError,
                      ScheduleRejectedError)
-from .fields import C_of, c_of
+from .fields import C_of, SamplePlan, c_of, check_real
 from .linear import LinearPath, ell_estimate
 
 _MAX_BRACKET_DOUBLINGS = 80
 _MAX_ROOT_ITERS = 200
+#: latest time at which compute_times may place a unit-mass time
+_MAX_TIME = 1e6
+#: uniform grid points on [0, u_N] over which build_schedule measures ell
+_ELL_GRID = 4097
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ class Schedule:
 
 
 def compute_times(path: LinearPath, N: int, tol: float = 1e-10,
-                  max_time: float = 1e6) -> tuple:
+                  max_time: float = _MAX_TIME) -> tuple:
     """Solve M(u_n) = n for n = 0..N.
 
     Brackets each time by doubling past the previous one, then closes
@@ -108,8 +113,7 @@ def compute_times(path: LinearPath, N: int, tol: float = 1e-10,
     """
     if N < 1:
         raise InvalidInputError(f"horizon N must be >= 1, got {N}")
-    if tol <= 0.0:
-        raise InvalidInputError("tol must be positive")
+    tol = check_tol(tol)
     us = [0.0]
     for n in range(1, N + 1):
         lo = us[-1]
@@ -168,25 +172,24 @@ def radius_for(ell: float, h: int) -> float:
 
 
 def build_schedule(path: LinearPath, N: int = 30, ell: float | None = None,
-                   *, tol: float = 1e-10, max_time: float = 1e6,
-                   ell_grid: int = 4097, strict: bool = True) -> Schedule:
+                   *, tol: float = 1e-10, strict: bool = True) -> Schedule:
     """Compute the unit-mass times and the contraction budget.
 
-    When ``ell`` is None it is measured as max k/m over a uniform grid
-    of ``ell_grid`` points on [0, u_N] merged with the declared
-    breakpoints.  With ``strict`` (default) a schedule whose budget
+    Unit-mass times must fall before t = 1e6.  When ``ell`` is None it
+    is measured as max k/m over a uniform grid of 4097 points on
+    [0, u_N] merged with the declared breakpoints.  With ``strict`` (default) a schedule whose budget
     fails mu**h < nu raises ScheduleRejectedError carrying the failing
     step and the full schedule; otherwise it is returned with
     ``accepted=False``.
     """
-    u = compute_times(path, N, tol=tol, max_time=max_time)
+    u = compute_times(path, N, tol=tol)
     if ell is None:
-        grid = np.union1d(np.linspace(0.0, u[-1], ell_grid),
+        grid = np.union1d(np.linspace(0.0, u[-1], _ELL_GRID),
                           [b for b in path.breakpoints if 0.0 <= b <= u[-1]])
         ell_value = float(ell_estimate(path, grid))
         ell_source = "grid-estimate"
     else:
-        ell_value = float(ell)
+        ell_value = check_real(ell, "ell")
         if ell_value < 1.0:
             raise InvalidInputError(
                 f"ell must be >= 1 (it bounds sup k/m and k >= m), got {ell_value}")
@@ -266,13 +269,8 @@ def contraction_check(field, schedule: Schedule, *, directions: int = 32,
     """
     from .flow import FlowRequest, evolve  # local import to avoid a cycle
 
-    if field.linear.dim != field.dim:
-        raise InvalidInputError("field dimension mismatch")
-    rng = np.random.default_rng(seed)
-    raw = (rng.standard_normal((directions, field.dim))
-           + 1j * rng.standard_normal((directions, field.dim)))
-    dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    shell = schedule.r * dirs
+    shell = SamplePlan(radii=(schedule.r,), directions=directions,
+                       seed=seed).states(field.dim)
     slack = 100.0 * tol + 1e-9
     n_steps = schedule.horizon_N if max_steps is None \
         else min(max_steps, schedule.horizon_N)

@@ -167,6 +167,10 @@ def test_eval_guards(chain_for):
         ev.eval(-1.0, z)
     with pytest.raises(InvalidInputError):
         ev.eval(0.5, np.array([0.1 + 0j]))
+    with pytest.raises(InvalidInputError):
+        ev.eval(0.5, np.array([np.nan, 0.1 + 0j]))
+    with pytest.raises(InvalidInputError):
+        ev.eval(float("nan"), z)
 
 
 def test_horizon_extension_is_stable(chain_for):

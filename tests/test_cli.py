@@ -49,6 +49,27 @@ def test_usage_error_missing_field_file(capsys):
     assert code == 1
 
 
+def test_malformed_inputs_exit_1_with_one_error_line(capsys, tmp_path):
+    bad_scalar = tmp_path / "bad_scalar.json"
+    bad_scalar.write_text(json.dumps(
+        {"dim": 1,
+         "linear": [{"until": None, "base": [[1]], "frequency": "x"}]}))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"dim": 1, "note": "\xe9"}')
+    cases = [
+        ("schedule", "--field", str(bad_scalar)),
+        ("schedule", "--field", str(tmp_path)),
+        ("schedule", "--field", str(latin1)),
+        ("schedule", "--builtin", "constant-linear", "--param", "dim=2.5"),
+        ("chain", "--builtin", "koebe-1d", "--points", "[[NaN]]"),
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
+
+
 def test_mathematical_rejection_exit_2(capsys, tmp_path):
     # a field pointing outward fails the membership check
     cfg = {"dim": 1,

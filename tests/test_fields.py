@@ -74,6 +74,17 @@ def test_unknown_family():
         F.builtin_field("nope")
 
 
+@pytest.mark.parametrize("family, params", [
+    ("constant-linear", {"dim": 2.5}),
+    ("constant-linear", {"dim": "x"}),
+    ("diagonal-periodic", {"base": ["a"]}),
+    ("quadratic-perturbation", {"dim": 1, "epsilon": [1]}),
+])
+def test_builtin_malformed_params_rejected(family, params):
+    with pytest.raises(InvalidInputError):
+        F.builtin_field(family, params)
+
+
 # ---------------------------------------------------------------------------
 # membership checks
 
@@ -169,10 +180,32 @@ def test_config_quadratic_tensor_consistent():
     {"dim": 1, "linear": [{"until": None, "constant": [[1]]}],
      "quadratic": [{"out_index": 3, "in_indices": [0, 0], "coeff_re": 1}]},
     {"dim": 1, "linear": [{"until": None, "constant": [["x"]]}]},
+    {"dim": 1, "linear": [{"until": None, "base": [[1]], "frequency": "x"}]},
+    {"dim": 1, "breakpoints": ["x"],
+     "linear": [{"until": None, "constant": [[1]]}]},
+    {"dim": 1, "breakpoints": [float("nan")],
+     "linear": [{"until": None, "constant": [[1]]}]},
+    {"dim": 1, "linear": [{"until": None, "constant": [[True]]}]},
+    {"dim": 2.5, "linear": [{"until": None, "constant": [[1, 0], [0, 1]]}]},
+    {"dim": True, "linear": [{"until": None, "constant": [[1]]}]},
+    {"dim": 1, "linear": [{"until": None, "constant": [[1]]}],
+     "quadratic": [{"out_index": 0, "in_indices": [0, 0], "coeff_re": "x"}]},
+    {"dim": 1, "linear": [{"until": None, "constant": [[1]]}],
+     "quadratic": [{"out_index": 0, "in_indices": [0, 0], "coeff_re": 0.1,
+                    "time_profile": {"kind": "trig", "amplitude": None}}]},
 ])
 def test_config_strict_rejection(broken):
     with pytest.raises(InvalidInputError):
         F.parse_field_config(broken)
+
+
+def test_unreadable_field_file_rejected(tmp_path):
+    with pytest.raises(InvalidInputError):
+        F.load_field_file(str(tmp_path))
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 1, "note": "\xe9"}')
+    with pytest.raises(InvalidInputError):
+        F.load_field_file(str(path))
 
 
 def test_config_file_round_trip(tmp_path):
