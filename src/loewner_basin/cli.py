@@ -222,16 +222,11 @@ def _parse_floats(text, what, sep=",") -> list[float]:
 
 
 def _parse_grid(text) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
+    vals = _parse_floats(text, "--t-grid", ":")
+    if (len(vals) != 3 or vals[1] <= vals[0] or vals[2] < 2
+            or vals[2] != int(vals[2])):
         raise InvalidInputError(f"--t-grid needs start:stop:count, got {text!r}")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise InvalidInputError(f"bad --t-grid: {text!r}") from None
-    if count < 2 or stop <= start:
-        raise InvalidInputError(f"bad --t-grid: {text!r}")
-    return np.linspace(start, stop, count)
+    return np.linspace(vals[0], vals[1], int(vals[2]))
 
 
 def _parse_intervals(text) -> list[tuple[float, float]]:

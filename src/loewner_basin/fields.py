@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -48,6 +47,8 @@ from .linear import (LinearPath, as_complex_array, check_dim, operator_norm,
 INEQUALITY_SLACK = -1e-10
 
 _FD_STEP = 1e-5  # complex central-difference step for quadratic jets
+#: number types check_real accepts (bool, an int subclass, is refused)
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 def c_of(r: float) -> float:
@@ -191,7 +192,7 @@ def _check_keys(obj: dict, allowed, what: str) -> None:
 def check_real(x, name: str) -> float:
     """``x`` as a float if it is a finite real number; booleans, strings,
     None and containers are rejected."""
-    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+    if isinstance(x, _REAL_TYPES) and not isinstance(x, bool):
         try:
             if math.isfinite(value := float(x)):
                 return value
@@ -572,11 +573,11 @@ def remainder_order_check(field: FieldSpec, times=(0.0, 1.0),
 # custom field files
 
 
-_TOP_KEYS = ("dim", "breakpoints", "linear", "quadratic")
-_CONST_BLOCK_KEYS = ("until", "constant")
-_TRIG_BLOCK_KEYS = ("until", "base", "sin", "cos", "frequency")
-_QUAD_KEYS = ("out_index", "in_indices", "coeff_re", "coeff_im", "time_profile")
-_PROFILE_KEYS = ("kind", "offset", "amplitude", "frequency", "phase")
+_TOP_KEYS = {"dim", "breakpoints", "linear", "quadratic"}
+_CONST_BLOCK_KEYS = {"until", "constant"}
+_TRIG_BLOCK_KEYS = {"until", "base", "sin", "cos", "frequency"}
+_QUAD_KEYS = {"out_index", "in_indices", "coeff_re", "coeff_im", "time_profile"}
+_PROFILE_KEYS = {"kind", "offset", "amplitude", "frequency", "phase"}
 
 
 def _parse_profile(obj):

@@ -65,11 +65,12 @@ def as_complex_array(x, what: str = "matrix") -> np.ndarray:
     and strings included) raise InvalidInputError."""
     try:
         arr = np.asarray(x)
-        if arr.dtype.kind not in "iufc":
-            raise TypeError(f"entries of type {arr.dtype} are not numbers")
-        return arr.astype(complex, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad {what}: {exc}") from None
+    if arr.dtype.kind not in "iufc":
+        raise InvalidInputError(
+            f"bad {what}: entries of type {arr.dtype} are not numbers")
+    return arr.astype(complex, copy=False)
 
 
 def validate_matrix(A) -> np.ndarray:

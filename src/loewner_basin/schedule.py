@@ -177,10 +177,10 @@ def build_schedule(path: LinearPath, N: int = 30, ell: float | None = None,
 
     Unit-mass times must fall before t = 1e6.  When ``ell`` is None it
     is measured as max k/m over a uniform grid of 4097 points on
-    [0, u_N] merged with the declared breakpoints.  With ``strict`` (default) a schedule whose budget
-    fails mu**h < nu raises ScheduleRejectedError carrying the failing
-    step and the full schedule; otherwise it is returned with
-    ``accepted=False``.
+    [0, u_N] merged with the declared breakpoints.  With ``strict``
+    (default) a schedule whose budget fails mu**h < nu raises
+    ScheduleRejectedError carrying the failing step and the full
+    schedule; otherwise it is returned with ``accepted=False``.
     """
     u = compute_times(path, N, tol=tol)
     if ell is None:
