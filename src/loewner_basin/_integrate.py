@@ -19,11 +19,13 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EscapeError, InvalidInputError, StiffnessError
+from .errors import (EscapeError, InvalidInputError, NumericalFailureError,
+                     StiffnessError)
 
 # Dormand-Prince 5(4) tableau.  Row 7 equals the 5th order weights, so
 # the argument of the last stage is the accepted solution (FSAL).
@@ -203,8 +205,11 @@ def _segment(rhs, a, b, y, tol, ctl, stats, escape_radius, on_step, shape,
         k[6] = f(tau + h, y5)
         err_vec = h * sum(_E[j] * k[j] for j in range(7))
         est = float(np.max(np.abs(err_vec))) if err_vec.size else 0.0
-        scale = atol + tol * max(float(np.max(np.abs(y))),
-                                 float(np.max(np.abs(y5))), 0.0)
+        y5_max = float(np.max(np.abs(y5)))
+        if not (math.isfinite(est) and math.isfinite(y5_max)):
+            raise NumericalFailureError(f"non-finite step at t = {tau!r}",
+                                        iterations=stats.steps_taken)
+        scale = atol + tol * max(float(np.max(np.abs(y))), y5_max, 0.0)
         ratio = est / (h * scale) if est > 0.0 else 0.0
         if ratio <= 1.0:
             tau = b if (b - (tau + h)) <= 1e-15 * max(1.0, abs(b)) else tau + h

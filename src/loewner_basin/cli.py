@@ -24,7 +24,7 @@ Exit codes: 0 success; 1 usage or malformed input; 2 the input is
 well-formed but fails a mathematical admission or verification step
 (field rejected, hypothesis violated, schedule budget rejected, limit
 construction unavailable, verification failure); 3 numerical failure
-(stiffness, non-convergence, degenerate transition).
+(stiffness, non-convergence, non-finite values, degenerate transition).
 """
 
 from __future__ import annotations
@@ -306,13 +306,19 @@ def _make_manifest(args, descriptor) -> dict:
 
 
 def _linear_path(field: FieldSpec, args):
-    # rebuild the mass-integral caches at the requested quadrature
-    # tolerance (constant paths integrate analytically, keep them)
+    # the field's path with --tol-quad as its quadrature tolerance
+    # (constant paths integrate in closed form and need no rebuild)
     if field.linear.quad_tol != args.tol_quad and not field.linear.is_constant:
         return LinearPath(field.dim, field.linear.evaluate,
                           breakpoints=field.linear.breakpoints,
                           quad_tol=args.tol_quad)
     return field.linear
+
+
+def _schedule(args, field: FieldSpec, *, strict: bool = True):
+    return build_schedule(_linear_path(field, args), N=args.horizon,
+                          ell=args.ell, tol=min(args.tol_ode, 1e-10),
+                          strict=strict)
 
 
 def _cmd_analyze(args, field: FieldSpec) -> tuple[dict, int]:
@@ -326,7 +332,7 @@ def _cmd_analyze(args, field: FieldSpec) -> tuple[dict, int]:
     growth = growth_check(field, 0.5, times, directions=min(args.directions,
                                                             512),
                           seed=args.seed)
-    hypotheses = classify_hypotheses(field.linear, grid)
+    hypotheses = classify_hypotheses(_linear_path(field, args), grid)
     result = {
         "dim": field.dim,
         "family": field.family_tag,
@@ -382,10 +388,8 @@ def _trajectories_csv(args, field: FieldSpec, req: FlowRequest) -> str:
 
 
 def _cmd_schedule(args, field: FieldSpec) -> tuple[dict, int]:
-    path = _linear_path(field, args)
     try:
-        sched = build_schedule(path, N=args.horizon, ell=args.ell,
-                               tol=min(args.tol_ode, 1e-10))
+        sched = _schedule(args, field)
     except ScheduleRejectedError as exc:
         return ({"schedule": exc.schedule.to_json_dict(),
                  "ell_source": exc.schedule.ell_source,
@@ -400,11 +404,8 @@ def _cmd_schedule(args, field: FieldSpec) -> tuple[dict, int]:
 
 
 def _chain_evaluator(args, field: FieldSpec) -> ChainEvaluator:
-    path = _linear_path(field, args)
-    sched = build_schedule(path, N=args.horizon, ell=args.ell,
-                           tol=min(args.tol_ode, 1e-10))
-    return ChainEvaluator(field, sched, tol_chain=args.tol_chain,
-                          tol_ode=args.tol_ode)
+    return ChainEvaluator(field, _schedule(args, field),
+                          tol_chain=args.tol_chain, tol_ode=args.tol_ode)
 
 
 def _cmd_chain(args, field: FieldSpec) -> tuple[dict, int, dict]:
@@ -477,10 +478,8 @@ def _cmd_verify(args, field: FieldSpec) -> tuple[dict, int]:
     checks["semigroup"] = {"defect": defect,
                            "passed": defect <= 200.0 * args.tol_ode}
 
-    path = _linear_path(field, args)
     try:
-        sched = build_schedule(path, N=args.horizon, ell=args.ell,
-                               tol=min(args.tol_ode, 1e-10), strict=False)
+        sched = _schedule(args, field, strict=False)
         checks["schedule"] = {"passed": sched.accepted,
                               "schedule": sched.to_json_dict(),
                               "ell_source": sched.ell_source}

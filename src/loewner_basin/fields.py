@@ -103,7 +103,7 @@ class FieldSpec:
     dim : int
         Ambient complex dimension q, 1 <= q <= 8.
     linear : LinearPath
-        The linear part t -> A(t) with its quadrature caches.
+        The linear part t -> A(t) with its mass integrals.
     remainder : callable(z, t) -> ndarray
         h(z, t) - A(t) z; must vanish to second order at z = 0 and
         broadcast over leading axes of z with shape (..., q).

@@ -83,7 +83,7 @@ class FlowRequest:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "tol", check_tol(self.tol))
-        pts = _check_points(self.points, self.field.dim)
+        pts = _check_points(self.points, self.field.dim).copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -232,8 +232,7 @@ def decay_bounds_check(field: FieldSpec, s: float, t: float, points,
     radii = np.linalg.norm(pts, axis=1)
     if np.any(radii == 0.0):
         raise InvalidInputError("decay bounds need nonzero start points")
-    M_int = field.linear.M(t) - field.linear.M(s)
-    K_int = field.linear.K(t) - field.linear.K(s)
+    M_int, K_int = field.linear.masses(s, t)
     slack_log = field.linear.quad_tol + 20.0 * req.tol
     result = evolve(req)
     out_radii = np.linalg.norm(result.images, axis=1)

@@ -12,8 +12,8 @@ discretization.  This module provides
   non-Hermitian) spectrum from ``np.linalg.eigvals``;
 * ``LinearPath``: a validated path t -> A(t), evaluated on arrays of
   times, with stacked Hermitian bounds over a time grid
-  (``bounds_many``) and cached cumulative integrals
-  M(t) = int_0^t m(A) and K(t) = int_0^t k(A);
+  (``bounds_many``) and the mass integrals of m(A) and k(A) over any
+  interval (``masses``), so M(t) = int_0^t m(A) and K(t) = int_0^t k(A);
 * ``gauss_kronrod``: the adaptive, breakpoint-aware 7-point Gauss /
   15-point Kronrod quadrature behind those integrals, which evaluates
   all open panels of a refinement round in one call;
@@ -27,9 +27,7 @@ discretization.  This module provides
 
 from __future__ import annotations
 
-import bisect
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -222,45 +220,32 @@ class LinearPath:
 
     ``evaluate`` maps a 1-D array of n times to the stacked matrices
     A(t), shape (n, q, q); ``from_callable`` adapts a scalar A(t).
-    Carries cached cumulative integrals of the Hermitian-part bounds,
-
-        M(t) = int_0^t m(A(tau)) dtau,    K(t) = int_0^t k(A(tau)) dtau,
-
-    computed by adaptive Gauss-Kronrod quadrature that never straddles
-    a declared breakpoint.  Values are accumulated through monotone
-    checkpoints, so refining the query set never changes a previously
-    returned value by more than the quadrature tolerance.  The
-    checkpoints are guarded by a lock; concurrent readers see
-    pure-function behavior.
+    ``masses(a, b)`` integrates the Hermitian-part bounds m(A) and k(A)
+    over [a, b] by adaptive Gauss-Kronrod quadrature that never
+    straddles a declared breakpoint; M(t) and K(t) are the integrals
+    from 0.  A path holds no mutable state, so every value is a pure
+    function of the query and a path may be shared across threads.
     """
 
     def __init__(self, dim: int, evaluate: Callable[[np.ndarray], np.ndarray],
-                 *, breakpoints=(), quad_tol: float = 1e-10,
-                 constant_matrix: np.ndarray | None = None):
+                 *, breakpoints=(), quad_tol: float = 1e-10):
         self.dim = check_dim(dim)
         self.evaluate = evaluate
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
         self.quad_tol = check_tol(quad_tol, "quadrature tolerance")
-        self._lock = threading.Lock()
-        # checkpoint arrays: times (sorted) and cumulative (M, K) values
-        self._ck_t: list[float] = [0.0]
-        self._ck_v: list[np.ndarray] = [np.zeros(2)]
         self._const: tuple[np.ndarray, float, float] | None = None
-        if constant_matrix is not None:
-            A0 = validate_matrix(constant_matrix)
-            if A0.shape[0] != dim:
-                raise InvalidInputError("constant matrix dimension mismatch")
-            mk = hermitian_bounds(A0)
-            A0.setflags(write=False)
-            self._const = (A0, mk.m, mk.k)
 
     @classmethod
     def constant(cls, A) -> "LinearPath":
-        """Path with A(t) identically equal to the given matrix."""
-        A = validate_matrix(A)
-        return cls(A.shape[0],
-                   lambda ts: np.broadcast_to(A, (len(ts),) + A.shape),
-                   constant_matrix=A)
+        """Path with A(t) a read-only copy of the given matrix; its
+        masses come in closed form."""
+        A = validate_matrix(A).copy()
+        A.setflags(write=False)
+        path = cls(A.shape[0],
+                   lambda ts: np.broadcast_to(A, (len(ts),) + A.shape))
+        mk = hermitian_bounds(A)
+        path._const = (A, mk.m, mk.k)
+        return path
 
     @classmethod
     def from_callable(cls, dim: int, fn: Callable[[float], np.ndarray],
@@ -312,34 +297,26 @@ class LinearPath:
     def k(self, t: float) -> float:
         return self.bounds(t).k
 
-    def _cumulative(self, t: float) -> np.ndarray:
-        if t < 0.0:
-            raise InvalidInputError("cumulative integrals defined for t >= 0")
+    def masses(self, a: float, b: float) -> tuple[float, float]:
+        """(int_a^b m(A), int_a^b k(A)) for 0 <= a <= b, from one
+        adaptive Gauss-Kronrod call to absolute tolerance ``quad_tol``."""
+        a, b = float(a), float(b)
+        if not 0.0 <= a <= b:
+            raise InvalidInputError(
+                f"mass integrals need 0 <= a <= b, got [{a}, {b}]")
         if self._const is not None:
-            return np.array([self._const[1] * t, self._const[2] * t])
-        with self._lock:
-            i = bisect.bisect_right(self._ck_t, t) - 1
-            t0 = self._ck_t[i]
-            v0 = self._ck_v[i]
-        if t == t0:
-            return v0.copy()
-        inc = gauss_kronrod(self.bounds_many, t0, t, self.quad_tol,
-                            breakpoints=self.breakpoints)
-        val = v0 + inc
-        with self._lock:
-            j = bisect.bisect_left(self._ck_t, t)
-            if j >= len(self._ck_t) or self._ck_t[j] != t:
-                self._ck_t.insert(j, t)
-                self._ck_v.insert(j, val.copy())
-        return val
+            return self._const[1] * (b - a), self._const[2] * (b - a)
+        dm, dk = gauss_kronrod(self.bounds_many, a, b, self.quad_tol,
+                               breakpoints=self.breakpoints)
+        return float(dm), float(dk)
 
     def M(self, t: float) -> float:
         """Cumulative lower mass int_0^t m(A(tau)) dtau."""
-        return float(self._cumulative(t)[0])
+        return self.masses(0.0, t)[0]
 
     def K(self, t: float) -> float:
         """Cumulative upper mass int_0^t k(A(tau)) dtau."""
-        return float(self._cumulative(t)[1])
+        return self.masses(0.0, t)[1]
 
     def integral_matrix(self, a: float, b: float) -> np.ndarray:
         """Entrywise integral int_a^b A(tau) dtau (adaptive Gauss-Kronrod)."""

@@ -107,52 +107,53 @@ def compute_times(path: LinearPath, N: int, tol: float = 1e-10,
 
     Brackets each time by doubling past the previous one, then closes
     in with a bisection-guarded secant until |M(u) - n| <= tol or the
-    bracket collapses to relative width 1e-15.  Raises
-    HorizonExhaustedError when the mass M cannot reach N before
+    bracket collapses to relative width 1e-15.  Each query integrates
+    from the bracket's lower end, whose residual M - n is carried.
+    Raises HorizonExhaustedError when the mass M cannot reach N before
     ``max_time`` (the field stops contracting too early).
     """
     if N < 1:
         raise InvalidInputError(f"horizon N must be >= 1, got {N}")
     tol = check_tol(tol)
     us = [0.0]
+    f_u = 0.0  # M(u) - n at u = us[-1], for the n just placed
     for n in range(1, N + 1):
-        lo = us[-1]
-        flo = path.M(lo) - n
+        start = lo = us[-1]
+        flo = f_u - 1.0
         step = max(1.0, (us[-1] - us[-2]) if n >= 2 else 1.0)
-        hi = lo + step
-        fhi = path.M(hi) - n
+        hi = start + step
+        fhi = flo + path.masses(lo, hi)[0]
         doublings = 0
-        while fhi < 0.0:
+        while fhi < -tol:
+            lo, flo = hi, fhi
             step *= 2.0
-            hi = lo + step
+            hi = start + step
             if hi > max_time or doublings > _MAX_BRACKET_DOUBLINGS:
+                reached = n + flo + path.masses(lo, min(hi, max_time))[0]
                 raise HorizonExhaustedError(
-                    f"mass integral reaches only {path.M(min(hi, max_time)):.6g}"
+                    f"mass integral reaches only {reached:.6g}"
                     f" < {n} before t = {max_time:g}; cannot place time u_{n}")
-            fhi = path.M(hi) - n
+            fhi = flo + path.masses(lo, hi)[0]
             doublings += 1
+        u, f_u = hi, fhi
         for _ in range(_MAX_ROOT_ITERS):
-            if fhi != flo:
-                cand = hi - fhi * (hi - lo) / (fhi - flo)
+            if abs(f_u) <= tol:
+                break
+            if f_u < 0.0:
+                lo, flo = u, f_u
             else:
-                cand = 0.5 * (lo + hi)
-            mid = 0.5 * (lo + hi)
+                hi, fhi = u, f_u
+            if hi - lo <= 1e-15 * max(1.0, hi):
+                u = 0.5 * (lo + hi)
+                f_u = flo + path.masses(lo, u)[0]
+                break
+            u = hi - fhi * (hi - lo) / (fhi - flo)
             # keep the secant candidate only if it lands well inside
             width = hi - lo
-            if not (lo + 0.01 * width <= cand <= hi - 0.01 * width):
-                cand = mid
-            fcand = path.M(cand) - n
-            if abs(fcand) <= tol:
-                lo = cand
-                break
-            if fcand < 0.0:
-                lo, flo = cand, fcand
-            else:
-                hi, fhi = cand, fcand
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                lo = 0.5 * (lo + hi)
-                break
-        us.append(float(lo))
+            if not (lo + 0.01 * width <= u <= hi - 0.01 * width):
+                u = 0.5 * (lo + hi)
+            f_u = flo + path.masses(lo, u)[0]
+        us.append(float(u))
     return tuple(us)
 
 
@@ -198,8 +199,7 @@ def build_schedule(path: LinearPath, N: int = 30, ell: float | None = None,
     r = radius_for(ell_value, h)
     mu = math.exp(-c_of(r))
     Cr = C_of(r)
-    Ks = [path.K(t) for t in u]
-    nu_per_step = tuple(math.exp(-Cr * (Ks[n + 1] - Ks[n]))
+    nu_per_step = tuple(math.exp(-Cr * path.masses(u[n], u[n + 1])[1])
                         for n in range(N))
     nu = min(nu_per_step)
     accepted = mu ** h < nu
@@ -226,8 +226,7 @@ def log_ratio_check(path: LinearPath, schedule: Schedule) -> float:
     u = schedule.u
     worst = -math.inf
     for n in range(schedule.horizon_N):
-        dK = path.K(u[n + 1]) - path.K(u[n])
-        dM = path.M(u[n + 1]) - path.M(u[n])
+        dM, dK = path.masses(u[n], u[n + 1])
         worst = max(worst, dK - schedule.ell * dM)
     return float(worst)
 

@@ -93,6 +93,22 @@ def test_numerical_failure_exit_3(capsys, monkeypatch):
     assert payload["error"]["type"] == "StiffnessError"
 
 
+def test_non_finite_flow_exit_3(capsys, tmp_path):
+    # a huge quadratic coefficient overflows the right-hand side
+    cfg = {"dim": 1, "linear": [{"until": None, "constant": [[1.0]]}],
+           "quadratic": [{"out_index": 0, "in_indices": [0, 0],
+                          "coeff_re": 1e308}]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        code, out, _ = run(capsys, "flow", "--field", str(path), "--t", "1",
+                           "--points", "[[0.5]]")
+    assert code == 3 and "NaN" not in out
+    payload = json.loads(out)
+    assert payload["status"] == "failed"
+    assert payload["error"]["type"] == "NumericalFailureError"
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -121,6 +137,21 @@ def test_analyze_diag_1_2_verdicts(capsys):
     assert verdicts["constant_spectral_gap"] == "violated"
     assert verdicts["constant_positive_spectrum"] == "satisfied"
     assert verdicts["general_bunching"] == "satisfied"
+
+
+def test_analyze_classifies_at_tol_quad(capsys, monkeypatch):
+    seen = []
+    classify = cli.classify_hypotheses
+
+    def spy(path, grid):
+        seen.append(path.quad_tol)
+        return classify(path, grid)
+
+    monkeypatch.setattr(cli, "classify_hypotheses", spy)
+    code, _, _ = run_json(capsys, "analyze", "--builtin",
+                          "diagonal-periodic", "--directions", "16",
+                          "--tol-quad", "1e-8")
+    assert code == 0 and seen == [1e-8]
 
 
 # ---------------------------------------------------------------------------

@@ -178,3 +178,11 @@ def test_request_validation(koebe):
                        points=np.array([[1.0 + 0j]]))
     with pytest.raises(InvalidInputError):
         FL.FlowRequest(field=koebe, s=0.0, t=1.0, points=good, tol=1.0)
+
+
+def test_request_copies_callers_points(koebe):
+    pts = np.array([[0.1 + 0j], [0.2 + 0j]])
+    req = FL.FlowRequest(field=koebe, s=0.0, t=1.0, points=pts)
+    pts[0, 0] = 0.5
+    assert req.points[0, 0] == 0.1
+    assert not req.points.flags.writeable

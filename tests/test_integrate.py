@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from loewner_basin._integrate import integrate_adaptive
-from loewner_basin.errors import EscapeError, InvalidInputError
+from loewner_basin.errors import (EscapeError, InvalidInputError,
+                                  NumericalFailureError)
 
 
 def _decay(tau, y):
@@ -88,3 +89,16 @@ def test_input_validation():
         integrate_adaptive(_decay, 0.0, 1.0, y0, 1e-1)
     with pytest.raises(InvalidInputError):
         integrate_adaptive(_decay, 0.0, 1.0, y0, 1e-10, atol=-1.0)
+
+
+def test_non_finite_step_raises():
+    def nan_after(tau, y):
+        return np.full_like(y, np.nan) if tau > 0.5 else -y
+
+    y0 = np.array([0.1 + 0j])
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalFailureError):
+            integrate_adaptive(nan_after, 0.0, 1.0, y0, 1e-10)
+        with pytest.raises(NumericalFailureError):
+            integrate_adaptive(lambda tau, y: np.full_like(y, np.inf),
+                               0.0, 1.0, y0, 1e-10)

@@ -169,10 +169,49 @@ def test_callable_path_mass_integrals():
     for t in (0.5, 1.0, 3.7):
         assert path.M(t) == pytest.approx(t + t * t / 2.0, abs=1e-10)
         assert path.K(t) == pytest.approx(t + t * t / 2.0, abs=1e-10)
-    # additivity through the checkpoint cache
+    # additivity: M(4) and M(2) are independent integrals from 0
     assert path.M(4.0) - path.M(2.0) == pytest.approx(2.0 + 6.0, abs=1e-9)
     assert path.integral_matrix(0.0, 2.0)[0, 0] == pytest.approx(
         4.0, abs=1e-9)
+
+
+def test_masses_match_cumulative_differences():
+    tol = 1e-12
+    path = LinearPath.from_callable(
+        1, lambda t: np.array([[1.0 + t]], dtype=complex), quad_tol=tol)
+    for a, b in ((0.0, 0.5), (0.3, 0.3), (1.25, 3.7), (2.0, 9.0)):
+        dm, dk = path.masses(a, b)
+        assert abs(dm - (path.M(b) - path.M(a))) <= 3 * tol
+        assert abs(dk - (path.K(b) - path.K(a))) <= 3 * tol
+        exact = (b - a) + (b * b - a * a) / 2.0
+        assert abs(dm - exact) <= tol and abs(dk - exact) <= tol
+    for a, b in ((-1.0, 1.0), (2.0, 1.0), (0.0, math.nan)):
+        with pytest.raises(InvalidInputError):
+            path.masses(a, b)
+    const = LinearPath.constant(np.diag([2.0, 3.0]))
+    assert const.masses(1.0, 3.5) == (5.0, 7.5)
+
+
+def test_mass_query_independent_of_earlier_queries():
+    # a value is a function of t alone, bit for bit, whatever was asked
+    # of the path before
+    rng = np.random.default_rng(11)
+    earlier = rng.uniform(0.0, 12.0, 50)
+    for seed in (1, 3, 5):
+        fresh = _trig_path(2, seed)[0]
+        used = _trig_path(2, seed)[0]
+        for t in earlier:
+            used.M(float(t))
+        for t in (2.2, 7.3, 11.9):
+            assert used.M(t) == fresh.M(t) and used.K(t) == fresh.K(t)
+
+
+def test_constant_path_copies_callers_matrix():
+    A = np.eye(2, dtype=complex)
+    path = LinearPath.constant(A)
+    A[0, 0] = 2.0
+    assert path.A(0.0)[0, 0] == 1.0 and path.m(0.0) == 1.0
+    assert not path.A(0.0).flags.writeable
 
 
 def test_path_breakpoints_preserved():

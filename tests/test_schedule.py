@@ -59,6 +59,12 @@ def test_growing_mass_times():
         assert abs(un + un * un / 2.0 - n) < 1e-9
 
 
+def test_exact_bracket_end_is_accepted():
+    # M(t) = t exactly, so every doubled bracket end is already a root
+    u = S.compute_times(LinearPath.constant(np.eye(2)), 12)
+    assert u == tuple(float(n) for n in range(13))
+
+
 def test_build_is_deterministic():
     path = LinearPath.constant(np.diag([2.0, 3.0]).astype(complex))
     a = S.build_schedule(path, N=4)
