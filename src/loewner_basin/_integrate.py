@@ -6,11 +6,17 @@ error per unit step against a mixed absolute/relative scale with an
 absolute floor of 1e-14, so trajectories that collapse toward 0 keep
 integrating instead of chasing a vanishing relative scale.
 
-The state is a flat complex ndarray; callers flatten matrices or jet
-tensors as needed.  Steps never straddle a declared breakpoint: the
-requested span is split at interior breakpoints and each smooth segment
-is integrated separately (with a fresh first stage, since the right
-hand side may jump there).
+The state is a flat complex ndarray of size n; callers flatten matrices
+or jet tensors as needed.  The seven stage derivatives live in one
+preallocated (7, n) array, and every stage argument, the 5th order
+candidate and the error vector are formed from it by
+``np.einsum("k,kn->n", weights, stages)``, which sums the stages in
+tableau order (a BLAS product would not fix that order).  Steps never
+straddle a declared breakpoint: the requested span is split at interior
+breakpoints and each smooth segment starts with a fresh first stage,
+since the right hand side may jump there.  Each call may spend at most
+``_MAX_STEPS`` accepted plus rejected steps; past that budget it raises
+NumericalFailureError.
 
 Everything here is deterministic: for a fixed right hand side, span and
 tolerance the accepted step sequence, and therefore the result, is
@@ -20,30 +26,30 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (EscapeError, InvalidInputError, NumericalFailureError,
                      StiffnessError)
 
-# Dormand-Prince 5(4) tableau.  Row 7 equals the 5th order weights, so
-# the argument of the last stage is the accepted solution (FSAL).
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0),
-)
+# Dormand-Prince 5(4) tableau, strictly lower triangular.  Row 6 holds
+# the 5th order weights, so the argument of the last stage is the
+# candidate solution and its derivative is the next first stage (FSAL).
+_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
+_A = np.zeros((7, 7))
+_A[1, :1] = [1.0 / 5.0]
+_A[2, :2] = [3.0 / 40.0, 9.0 / 40.0]
+_A[3, :3] = [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]
+_A[4, :4] = [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0,
+             -212.0 / 729.0]
+_A[5, :5] = [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+             -5103.0 / 18656.0]
+_A[6, :6] = [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
+             -2187.0 / 6784.0, 11.0 / 84.0]
 # Difference between the 5th and 4th order weights (error estimator).
-_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-      -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+_E = np.array([71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+               -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0])
 
 ATOL_FLOOR = 1e-14
 _SAFETY = 0.9
@@ -52,6 +58,7 @@ _BETA = 0.4 / 5.0    # PI exponent on the previous error ratio
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _HMIN_REL = 1e-14    # step floor relative to max(1, |tau|)
+_MAX_STEPS = 100_000  # accepted plus rejected steps per integration call
 
 
 def check_tol(tol: float, name: str = "tolerance") -> float:
@@ -79,28 +86,10 @@ class StepStats:
         self.rhs_evaluations += other.rhs_evaluations
 
 
-@dataclass
-class _Controller:
-    """PI step controller state (previous accepted error ratio)."""
-
-    prev_ratio: float = 1e-4
-
-    def factor_accept(self, ratio: float) -> float:
-        ratio = max(ratio, 1e-16)
-        fac = _SAFETY * ratio ** (-_ALPHA) * self.prev_ratio ** _BETA
-        self.prev_ratio = ratio
-        return min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
-
-    @staticmethod
-    def factor_reject(ratio: float) -> float:
-        fac = _SAFETY * max(ratio, 1e-16) ** (-_ALPHA)
-        return min(1.0, max(0.1, fac))
-
-
 def _split_segments(s: float, t: float, breakpoints) -> list[tuple[float, float]]:
-    cuts = sorted({float(b) for b in breakpoints if s < float(b) < t})
-    knots = [s, *cuts, t]
-    return [(knots[i], knots[i + 1]) for i in range(len(knots) - 1)]
+    """[s, t] cut at the breakpoints strictly inside it, as (a, b) pairs."""
+    knots = [s, *sorted({float(b) for b in breakpoints if s < float(b) < t}), t]
+    return list(zip(knots[:-1], knots[1:]))
 
 
 def integrate_adaptive(rhs, s: float, t: float, y0: np.ndarray, tol: float,
@@ -149,83 +138,73 @@ def integrate_adaptive(rhs, s: float, t: float, y0: np.ndarray, tol: float,
     shape = y.shape
     y = y.ravel()
     stats = StepStats()
-    if t == s:
-        return y.reshape(shape), stats
-    ctl = _Controller()
+    K = np.empty((7, y.size), dtype=complex)  # the seven stage derivatives
+    prev_ratio = 1e-4  # PI controller memory: last accepted error ratio
     for (a, b) in _split_segments(s, t, breakpoints):
-        y = _segment(rhs, a, b, y, tol, ctl, stats, escape_radius, on_step,
-                     shape, atol)
-    return y.reshape(shape), stats
+        if b <= a:
+            continue
+        # Clamp stage times one ulp inside the segment so the right-hand
+        # side is never sampled on the far side of a declared breakpoint
+        # (stage abscissae can land exactly on, or round past, an end).
+        a_in = np.nextafter(a, b)
+        b_in = np.nextafter(b, a)
 
+        def f(time, state):
+            stats.rhs_evaluations += 1
+            time = min(max(time, a_in), b_in)
+            return np.asarray(rhs(time, state.reshape(shape)),
+                              dtype=complex).ravel()
 
-def _segment(rhs, a, b, y, tol, ctl, stats, escape_radius, on_step, shape,
-             atol):
-    span = b - a
-    if span <= 0.0:
-        return y
-    tau = a
-    # Clamp stage times one ulp inside the segment so the right-hand
-    # side is never sampled on the far side of a declared breakpoint
-    # (stage abscissae can land exactly on, or round past, an end).
-    a_in = np.nextafter(a, b)
-    b_in = np.nextafter(b, a)
-
-    def f(time, state):
-        stats.rhs_evaluations += 1
-        time = min(max(time, a_in), b_in)
-        return np.asarray(rhs(time, state.reshape(shape)),
-                          dtype=complex).ravel()
-
-    k1 = f(tau, y)
-    # Initial step from the local magnitude/velocity ratio.
-    d0 = float(np.max(np.abs(y))) if y.size else 0.0
-    d1 = float(np.max(np.abs(k1))) if k1.size else 0.0
-    h = min(span, 1e-2 * (d0 + ATOL_FLOOR) / (d1 + ATOL_FLOOR))
-    h = max(h, 1e-10 * span)
-    k = [k1] + [None] * 6
-    while True:
-        remaining = b - tau
-        if remaining <= 1e-15 * max(1.0, abs(b)):
-            break
-        h = min(h, remaining)
-        # Underflow means the controller ground the step below the
-        # floor; a final step clamped to a sub-floor remainder is fine.
-        if h < _HMIN_REL * max(1.0, abs(tau)) and h < remaining:
-            raise StiffnessError(
-                "step size underflow (stiff or non-smooth field?)",
-                diagnostics={"t": tau, "h": h,
-                             "steps_taken": stats.steps_taken,
-                             "steps_rejected": stats.steps_rejected})
-        for i in range(1, 6):
-            acc = y + h * sum(_A[i][j] * k[j] for j in range(i))
-            k[i] = f(tau + _C[i] * h, acc)
-        # Row 7 of the tableau equals the 5th order weights, so the
-        # argument of the last stage is the candidate solution (FSAL).
-        y5 = y + h * sum(_A[6][j] * k[j] for j in range(6))
-        k[6] = f(tau + h, y5)
-        err_vec = h * sum(_E[j] * k[j] for j in range(7))
-        est = float(np.max(np.abs(err_vec))) if err_vec.size else 0.0
-        y5_max = float(np.max(np.abs(y5)))
-        if not (math.isfinite(est) and math.isfinite(y5_max)):
-            raise NumericalFailureError(f"non-finite step at t = {tau!r}",
-                                        iterations=stats.steps_taken)
-        scale = atol + tol * max(float(np.max(np.abs(y))), y5_max, 0.0)
-        ratio = est / (h * scale) if est > 0.0 else 0.0
-        if ratio <= 1.0:
+        tau = a
+        # A fresh first stage per segment: the right-hand side may jump
+        # at a breakpoint.  Initial step from the magnitude/velocity ratio.
+        K[0] = f(tau, y)
+        d0 = float(np.abs(y).max())
+        d1 = float(np.abs(K[0]).max())
+        h = min(b - a, 1e-2 * (d0 + ATOL_FLOOR) / (d1 + ATOL_FLOOR))
+        h = max(h, 1e-10 * (b - a))
+        while (remaining := b - tau) > 1e-15 * max(1.0, abs(b)):
+            h = min(h, remaining)
+            attempts = stats.steps_taken + stats.steps_rejected
+            if attempts >= _MAX_STEPS:
+                raise NumericalFailureError(
+                    f"step budget of {_MAX_STEPS} steps exhausted at "
+                    f"t = {tau!r} on [{s!r}, {t!r}]", iterations=attempts)
+            # Underflow means the controller ground the step below the
+            # floor; a final step clamped to a sub-floor remainder is fine.
+            if h < _HMIN_REL * max(1.0, abs(tau)) and h < remaining:
+                raise StiffnessError(
+                    "step size underflow (stiff or non-smooth field?)",
+                    diagnostics={"t": tau, "h": h,
+                                 "steps_taken": stats.steps_taken,
+                                 "steps_rejected": stats.steps_rejected})
+            # The last stage argument is the 5th order candidate (FSAL).
+            for i in range(1, 7):
+                y5 = y + h * np.einsum("k,kn->n", _A[i, :i], K[:i])
+                K[i] = f(tau + _C[i] * h, y5)
+            est = float(np.abs(h * np.einsum("k,kn->n", _E, K)).max())
+            y5_max = float(np.abs(y5).max())
+            if not (math.isfinite(est) and math.isfinite(y5_max)):
+                raise NumericalFailureError(f"non-finite step at t = {tau!r}",
+                                            iterations=stats.steps_taken)
+            scale = atol + tol * max(float(np.abs(y).max()), y5_max)
+            ratio = max(est / (h * scale) if est > 0.0 else 0.0, 1e-16)
+            if ratio > 1.0:
+                stats.steps_rejected += 1
+                h *= min(1.0, max(0.1, _SAFETY * ratio ** -_ALPHA))
+                continue
             tau = b if (b - (tau + h)) <= 1e-15 * max(1.0, abs(b)) else tau + h
             y = y5
-            k[0] = k[6]  # FSAL reuse
+            K[0] = K[6]
             stats.steps_taken += 1
             stats.max_local_error = max(stats.max_local_error, est)
-            if escape_radius is not None:
-                if float(np.linalg.norm(y)) >= escape_radius:
-                    raise EscapeError(
-                        "trajectory reached the unit sphere tripwire",
-                        t=tau, point=y.reshape(shape).copy())
+            if escape_radius is not None and (
+                    float(np.linalg.norm(y)) >= escape_radius):
+                raise EscapeError("trajectory reached the unit sphere tripwire",
+                                  t=tau, point=y.reshape(shape).copy())
             if on_step is not None:
                 on_step(tau, y.reshape(shape).copy())
-            h *= ctl.factor_accept(ratio)
-        else:
-            stats.steps_rejected += 1
-            h *= ctl.factor_reject(ratio)
-    return y
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * ratio ** -_ALPHA
+                                      * prev_ratio ** _BETA))
+            prev_ratio = ratio
+    return y.reshape(shape), stats

@@ -24,12 +24,14 @@ Exit codes: 0 success; 1 usage or malformed input; 2 the input is
 well-formed but fails a mathematical admission or verification step
 (field rejected, hypothesis violated, schedule budget rejected, limit
 construction unavailable, verification failure); 3 numerical failure
-(stiffness, non-convergence, non-finite values, degenerate transition).
+(stiffness, non-convergence, non-finite values, an integration past its
+budget of 100,000 steps, degenerate transition).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -190,7 +192,11 @@ def _parse_params(items) -> dict:
 
 
 def _load_field(args) -> tuple[FieldSpec, dict]:
-    """Build the field and the canonical config fragment describing it."""
+    """Build the field and the canonical config fragment describing it.
+
+    The field's path gets ``--tol-quad`` as its quadrature tolerance, so
+    every mass integral a command computes honours it (constant paths
+    integrate in closed form and keep theirs)."""
     if args.field is not None:
         cfg = read_field_config(args.field)
         field = parse_field_config(cfg)
@@ -200,6 +206,11 @@ def _load_field(args) -> tuple[FieldSpec, dict]:
         field = builtin_field(args.builtin, params)
         descriptor = {"source": "builtin", "family": args.builtin,
                       "params": params}
+    path = field.linear
+    if path.quad_tol != args.tol_quad and not path.is_constant:
+        field = dataclasses.replace(field, linear=LinearPath(
+            field.dim, path.evaluate, breakpoints=path.breakpoints,
+            quad_tol=args.tol_quad))
     return field, descriptor
 
 
@@ -305,18 +316,8 @@ def _make_manifest(args, descriptor) -> dict:
 # commands
 
 
-def _linear_path(field: FieldSpec, args):
-    # the field's path with --tol-quad as its quadrature tolerance
-    # (constant paths integrate in closed form and need no rebuild)
-    if field.linear.quad_tol != args.tol_quad and not field.linear.is_constant:
-        return LinearPath(field.dim, field.linear.evaluate,
-                          breakpoints=field.linear.breakpoints,
-                          quad_tol=args.tol_quad)
-    return field.linear
-
-
 def _schedule(args, field: FieldSpec, *, strict: bool = True):
-    return build_schedule(_linear_path(field, args), N=args.horizon,
+    return build_schedule(field.linear, N=args.horizon,
                           ell=args.ell, tol=min(args.tol_ode, 1e-10),
                           strict=strict)
 
@@ -332,7 +333,7 @@ def _cmd_analyze(args, field: FieldSpec) -> tuple[dict, int]:
     growth = growth_check(field, 0.5, times, directions=min(args.directions,
                                                             512),
                           seed=args.seed)
-    hypotheses = classify_hypotheses(_linear_path(field, args), grid)
+    hypotheses = classify_hypotheses(field.linear, grid)
     result = {
         "dim": field.dim,
         "family": field.family_tag,

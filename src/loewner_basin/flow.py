@@ -100,17 +100,11 @@ class FlowResult:
     rhs_evaluations: int
 
 
-def _rhs(field: FieldSpec):
-    def rhs(tau, y):
-        return -field.h(y, tau)
-    return rhs
-
-
 def _evolve_one(field: FieldSpec, s: float, t: float, z: np.ndarray,
                 tol: float, on_step=None, atol: float | None = None
                 ) -> tuple[np.ndarray, StepStats]:
     return integrate_adaptive(
-        _rhs(field), s, t, z, tol,
+        lambda tau, y: -field.h(y, tau), s, t, z, tol,
         breakpoints=field.breakpoints,
         escape_radius=1.0 - ESCAPE_MARGIN,
         on_step=on_step, atol=atol)

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._integrate import check_tol, integrate_adaptive
+from ._integrate import _split_segments, check_tol, integrate_adaptive
 from .errors import (DegenerateTransitionError, HypothesisViolationError,
                      InvalidInputError, NumericalFailureError)
 
@@ -179,10 +179,8 @@ def gauss_kronrod(f, a: float, b: float, tol: float, *,
         raise InvalidInputError("integration bounds must satisfy a <= b")
     if b == a:
         return 0.0 * np.asarray(f(np.array([a])), dtype=float).reshape(-1)
-    cuts = sorted({float(c) for c in breakpoints if a < float(c) < b})
-    knots = [a, *cuts, b]
     edges = [np.linspace(x0, x1, _SEED_PANELS + 1)
-             for x0, x1 in zip(knots[:-1], knots[1:])]
+             for x0, x1 in _split_segments(a, b, breakpoints)]
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
     total = b - a
@@ -542,15 +540,11 @@ def transition_matrix(path: LinearPath, s: float, t: float,
     with the shared embedded RK pair; steps never straddle path
     breakpoints.
     """
-    q = path.dim
-    eye = np.eye(q, dtype=complex)
-    if t == s:
-        return eye
-
     def rhs(tau, J):
         return -(path.A(tau) @ J)
 
-    J, _stats = integrate_adaptive(rhs, float(s), float(t), eye, tol,
+    J, _stats = integrate_adaptive(rhs, float(s), float(t),
+                                   np.eye(path.dim, dtype=complex), tol,
                                    breakpoints=path.breakpoints)
     return J
 

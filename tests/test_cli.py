@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from loewner_basin import cli
+from loewner_basin import _integrate, cli
 from loewner_basin.errors import StiffnessError
 
 from conftest import gauss_legendre_mass, trig_coefficients
@@ -91,6 +91,16 @@ def test_numerical_failure_exit_3(capsys, monkeypatch):
     assert code == 3
     assert payload["status"] == "failed"
     assert payload["error"]["type"] == "StiffnessError"
+
+
+def test_step_budget_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(_integrate, "_MAX_STEPS", 40)
+    code, payload, _ = run_json(capsys, "flow", "--builtin", "koebe-1d",
+                                "--t", "100", "--points", "[[0.5]]")
+    assert code == 3
+    assert payload["status"] == "failed"
+    assert payload["error"]["type"] == "NumericalFailureError"
+    assert "step budget" in payload["error"]["message"]
 
 
 def test_non_finite_flow_exit_3(capsys, tmp_path):
@@ -198,7 +208,7 @@ def test_schedule_identity_json_contract(capsys):
     assert sched["nu"] == pytest.approx(0.29383, abs=1e-4)
 
 
-def test_schedule_tol_quad_keeps_batched_path(capsys, tmp_path):
+def test_schedule_tol_quad_keeps_batched_path(capsys, tmp_path, monkeypatch):
     coeffs = trig_coefficients(4, 21)
     base, S, C, w = coeffs
 
@@ -212,10 +222,13 @@ def test_schedule_tol_quad_keeps_batched_path(capsys, tmp_path):
     path.write_text(json.dumps(cfg))
     args = cli._build_parser().parse_args(
         ["schedule", "--field", str(path), "--tol-quad", "1e-9"])
+    parsed = []
+    parse = cli.parse_field_config
+    monkeypatch.setattr(cli, "parse_field_config",
+                        lambda c: parsed.append(parse(c)) or parsed[-1])
     field, _ = cli._load_field(args)
-    rebuilt = cli._linear_path(field, args)
-    assert rebuilt.quad_tol == 1e-9
-    assert rebuilt.evaluate is field.linear.evaluate
+    assert field.linear.quad_tol == 1e-9
+    assert field.linear.evaluate is parsed[0].linear.evaluate
     code, payload, _ = run_json(capsys, "schedule", "--field", str(path),
                                 "--horizon", "6",
                                 "--tol-quad", "1e-9")
@@ -283,6 +296,16 @@ def test_verify_battery_passes_for_koebe(capsys):
     checks = payload["result"]["checks"]
     assert checks and all(c.get("passed", True) for c in checks.values())
     assert payload["result"]["all_passed"] is True
+
+
+def test_verify_decay_slack_honours_tol_quad(capsys):
+    _, payload, _ = run_json(
+        capsys, "verify", "--builtin", "diagonal-periodic", "--tol-quad",
+        "1e-6", "--intervals", "0:1,1:2", "--radii", "0.5",
+        "--directions", "2", "--horizon", "4")
+    intervals = payload["result"]["checks"]["decay"]["intervals"]
+    assert len(intervals) == 2
+    assert all(d["slack_log"] == 1e-6 + 20 * 1e-10 for d in intervals)
 
 
 def test_range_starlike_slice(capsys):

@@ -25,6 +25,17 @@ def _koebe_K_inv(w):
 # closed-form oracles
 
 
+def test_koebe_point_golden_bits():
+    # pins the exact result and step counts of one evolved point, so a
+    # rewrite of the stepper that changes rounding or step choice shows
+    fld = F.builtin_field("koebe-1d", {})
+    w, stats = FL._evolve_one(fld, 0.0, 4.0, np.array([0.5 + 0.1j]), 1e-10)
+    assert w[0] == complex(float.fromhex("0x1.d7d4280370127p-6"),
+                           float.fromhex("0x1.24ca962516c67p-6"))
+    assert (stats.steps_taken, stats.steps_rejected,
+            stats.rhs_evaluations) == (167, 0, 1003)
+
+
 def test_constant_diagonal_flow_is_exponential():
     fld = F.builtin_field("constant-linear", {"matrix": [[1, 0], [0, 2]]})
     pts = np.array([[0.3 + 0.1j, -0.2 + 0.4j], [0.5, 0.0]])

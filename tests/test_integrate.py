@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from loewner_basin import _integrate
 from loewner_basin._integrate import integrate_adaptive
 from loewner_basin.errors import (EscapeError, InvalidInputError,
                                   NumericalFailureError)
@@ -102,3 +103,30 @@ def test_non_finite_step_raises():
         with pytest.raises(NumericalFailureError):
             integrate_adaptive(lambda tau, y: np.full_like(y, np.inf),
                                0.0, 1.0, y0, 1e-10)
+
+
+def test_tableau_is_dormand_prince():
+    A, C, E = _integrate._A, _integrate._C, _integrate._E
+    assert A.shape == (7, 7) and np.all(np.triu(A) == 0.0)
+    assert np.max(np.abs(A.sum(axis=1) - C)) <= 1e-15
+    # row 6 is the 5th order solution, and row 6 minus E the 4th order
+    # one: each meets the quadrature conditions sum_i b_i c_i^(k-1) = 1/k
+    b5 = A[6]
+    b4 = b5 - E
+    for b, order in ((b5, 5), (b4, 4)):
+        for k in range(1, order + 1):
+            assert abs(b @ C ** (k - 1) - 1.0 / k) <= 1e-15
+    assert abs(E.sum()) <= 1e-15
+
+
+def test_step_budget_raises_numerical_failure(monkeypatch):
+    y0 = np.array([0.3 + 0j])
+    _, stats = integrate_adaptive(_decay, 0.0, 50.0, y0, 1e-10)
+    spent = stats.steps_taken + stats.steps_rejected
+    monkeypatch.setattr(_integrate, "_MAX_STEPS", spent)
+    y, _ = integrate_adaptive(_decay, 0.0, 50.0, y0, 1e-10)
+    assert abs(y[0] - 0.3 * np.exp(-50.0)) < 1e-14
+    monkeypatch.setattr(_integrate, "_MAX_STEPS", spent - 1)
+    with pytest.raises(NumericalFailureError) as exc:
+        integrate_adaptive(_decay, 0.0, 50.0, y0, 1e-10)
+    assert exc.value.iterations == spent - 1
