@@ -16,7 +16,9 @@ quadratically close to its own linearization on |w| <= r (error
 ~ |w|^2 <= (mu^m r)^2) while the accumulated normalization grows only
 like 1/nu per step.  The acceptance inequality mu^h < nu with h = 2 is
 exactly summability of that bound, so the approximants are a Cauchy
-sequence and ``eval`` returns their limit.
+sequence and ``eval_many`` returns their limit.  It is the one
+evaluation loop: all states march u_m0 -> u_m0+1 -> ... together under
+one accumulated product, and ``eval`` is its one-state case.
 
 Budgets with h >= 3 (mass ratio ell >= 2) would need the approximants
 normalized by higher-degree polynomial jets of the step maps, not just
@@ -31,7 +33,7 @@ images form an increasing family of domains as t grows.
 
 from __future__ import annotations
 
-import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,59 +111,53 @@ class ChainEvaluator:
         self.schedule = schedule
         self.tol_chain = check_tol(tol_chain)
         self.tol_ode = check_tol(tol_ode)
-        self._lock = threading.Lock()
-        self._factors: list[np.ndarray] = []
-        self._prefixes: list[InverseTransitionProduct] = [
-            InverseTransitionProduct.identity(field.dim)]
-
-    # -- normalization factors ------------------------------------------
-
-    def _prefix(self, m: int) -> InverseTransitionProduct:
-        """Accumulator applying Lam_0^-1 ... Lam_{m-1}^-1 (lazily built)."""
-        with self._lock:
-            while len(self._prefixes) <= m:
-                j = len(self._factors)
-                lam = transition_matrix(self.field.linear,
-                                        self.schedule.u[j],
-                                        self.schedule.u[j + 1],
-                                        tol=self.tol_ode)
-                self._factors.append(lam)
-                self._prefixes.append(self._prefixes[-1].push(lam))
-            return self._prefixes[m]
+        self._factors: list = [None] * schedule.horizon_N
 
     def step_factor(self, m: int) -> np.ndarray:
-        """Lam_m, the linearization of the step phi_{u_m, u_{m+1}}."""
+        """Lam_m, the linearization of the step phi_{u_m, u_{m+1}}
+        (integrated on first need, then kept; a racing first call only
+        repeats the same deterministic integration)."""
         if not 0 <= m < self.schedule.horizon_N:
             raise InvalidInputError(f"step index {m} outside schedule")
-        self._prefix(m + 1)
-        with self._lock:
-            return self._factors[m].copy()
+        if self._factors[m] is None:
+            u = self.schedule.u
+            self._factors[m] = transition_matrix(self.field.linear, u[m],
+                                                 u[m + 1], tol=self.tol_ode)
+        return self._factors[m].copy()
 
     # -- evaluation ------------------------------------------------------
 
     def eval(self, t: float, z) -> ChainValue:
-        """Limit map at time t applied to z (shape (dim,)), |z| < 1.
+        """Limit map at time t applied to one state z, |z| < 1: the
+        one-row case of ``eval_many``."""
+        return self.eval_many(t, _check_points(z, self.field.dim,
+                                               single=True))[0]
 
-        Needs t within the schedule horizon (t <= u_N).  Convergence is
-        declared after two consecutive increments below tolerance; if
-        the horizon runs out first the best approximant is returned
-        with converged=False.
+    def eval_many(self, t: float, points) -> list[ChainValue]:
+        """Evaluate the time-t limit map at each row of points, |z| < 1.
+
+        Needs t <= u_N.  All rows march together from the first u_m >= t:
+        each integrates its own legs, and one accumulator undoes Lam_m on
+        every live row with one block solve per factor, so each row gets
+        the bits it would get alone.  A row retires after two consecutive
+        increments below tolerance; if the horizon runs out first it
+        keeps its last approximant with converged=False.
         """
         u = self.schedule.u
         N = self.schedule.horizon_N
         (t,) = _check_times(t)
-        z = _check_points(z, self.field.dim, single=True)[0]
+        W = _check_points(points, self.field.dim).copy()
         if t > u[N]:
             raise HorizonExhaustedError(
                 f"time {t} exceeds the schedule horizon u_N = {u[N]:.6g}; "
                 "rebuild the schedule with a larger N")
-        m0 = 0
-        while u[m0] < t:
-            m0 += 1
-        if not z.any():
-            return ChainValue(value=np.zeros(self.field.dim, dtype=complex),
-                              m_used=m0, last_increment=0.0, converged=True,
-                              history=())
+        m0 = bisect_left(u, t)
+        out = [ChainValue(value=np.zeros(self.field.dim, dtype=complex),
+                          m_used=m0, last_increment=0.0, converged=True,
+                          history=()) for _ in range(W.shape[0])]
+        live = np.flatnonzero(W.any(axis=1))
+        if not live.size:
+            return out
         # Pure relative error control on every leg: the state decays like
         # exp(-M(u_m)) while the normalization grows like its inverse, so
         # any absolute error floor would be amplified into a noise floor
@@ -169,50 +165,56 @@ class ChainEvaluator:
         # trajectory of a nonzero state never reaches 0 (solutions are
         # unique and 0 is a stationary point).
         if u[m0] > t:
-            w, _ = _evolve_one(self.field, t, u[m0], z.copy(), self.tol_ode,
-                               atol=0.0)
-        else:
-            w = z.copy()
-        g_prev = self._prefix(m0).apply(w)
-        history = []
-        small_run = 0
+            for i in live:
+                W[i], _ = _evolve_one(self.field, t, u[m0], W[i],
+                                      self.tol_ode, atol=0.0)
+        acc = InverseTransitionProduct.identity(self.field.dim)
+        for j in range(m0):
+            acc = acc.push(self.step_factor(j))
+        for i, g in zip(live, acc.apply(W[live])):
+            out[i] = ChainValue(value=g, m_used=m0, last_increment=0.0,
+                                converged=False, history=())
+        small_run = [0] * len(out)
         m = m0
-        while m < N:
-            w, _ = _evolve_one(self.field, u[m], u[m + 1], w, self.tol_ode,
-                               atol=0.0)
+        while m < N and live.size:
+            for i in live:
+                W[i], _ = _evolve_one(self.field, u[m], u[m + 1], W[i],
+                                      self.tol_ode, atol=0.0)
+            acc = acc.push(self.step_factor(m))
             m += 1
-            g = self._prefix(m).apply(w)
-            inc = float(np.linalg.norm(g - g_prev))
-            history.append((m, float(np.linalg.norm(w)), inc))
-            g_prev = g
-            floor = INCREMENT_FLOOR * (1.0 + float(np.linalg.norm(g)))
-            if inc <= max(self.tol_chain, floor):
-                small_run += 1
-            else:
-                small_run = 0
-            if small_run >= 2 and m - m0 >= _MIN_STEPS:
-                return ChainValue(value=g, m_used=m, last_increment=inc,
-                                  converged=True, history=tuple(history))
-        last_inc = history[-1][2] if history else 0.0
-        return ChainValue(value=g_prev, m_used=m, last_increment=last_inc,
-                          converged=False, history=tuple(history))
-
-    def eval_many(self, t: float, points) -> list[ChainValue]:
-        """Evaluate the time-t limit map at each row of points."""
-        pts = _check_points(points, self.field.dim)
-        return [self.eval(t, pts[i]) for i in range(pts.shape[0])]
+            keep = []
+            for k, (i, g) in enumerate(zip(live, acc.apply(W[live]))):
+                inc = float(np.linalg.norm(g - out[i].value))
+                floor = INCREMENT_FLOOR * (1.0 + float(np.linalg.norm(g)))
+                small_run[i] = (small_run[i] + 1
+                                if inc <= max(self.tol_chain, floor) else 0)
+                done = small_run[i] >= 2 and m - m0 >= _MIN_STEPS
+                out[i] = ChainValue(
+                    value=g, m_used=m, last_increment=inc, converged=done,
+                    history=out[i].history
+                    + ((m, float(np.linalg.norm(W[i])), inc),))
+                if not done:
+                    keep.append(k)
+            live = live[keep]
+        return out
 
     # -- consistency checks ----------------------------------------------
+
+    def _inclusion_residuals(self, s: float, t: float, pts) -> list[float]:
+        """Relative defect of f_s(z) = f_t(phi_{s,t}(z)) per row z."""
+        left = self.eval_many(s, pts)
+        moved = np.array([_evolve_one(self.field, s, t, z, self.tol_ode)[0]
+                          for z in pts])
+        right = self.eval_many(t, moved)
+        return [float(np.linalg.norm(a.value - b.value)
+                      / (1.0 + np.linalg.norm(a.value)))
+                for a, b in zip(left, right)]
 
     def identity_residual(self, s: float, t: float, z) -> float:
         """Relative defect of f_s(z) = f_t(phi_{s,t}(z)), s <= t."""
         s, t = _check_times(s, t)
-        z = _check_points(z, self.field.dim, single=True)[0]
-        left = self.eval(s, z).value
-        w, _ = _evolve_one(self.field, s, t, z.copy(), self.tol_ode)
-        right = self.eval(t, w).value
-        return float(np.linalg.norm(left - right)
-                     / (1.0 + np.linalg.norm(left)))
+        z = _check_points(z, self.field.dim, single=True)
+        return self._inclusion_residuals(s, t, z)[0]
 
     def pde_residual(self, t: float, z, dt: float = 1e-4) -> float:
         """Relative defect of d/dt f_t(z) = Df_t(z) h(z, t).
@@ -225,20 +227,16 @@ class ChainEvaluator:
         (t,) = _check_times(t)
         z = _check_points(z, self.field.dim, single=True)[0]
         q = self.field.dim
+        f_plus = self.eval(t + dt, z).value
         if t >= dt:
-            f_plus = self.eval(t + dt, z).value
-            f_minus = self.eval(t - dt, z).value
-            df_dt = (f_plus - f_minus) / (2.0 * dt)
+            df_dt = (f_plus - self.eval(t - dt, z).value) / (2.0 * dt)
         else:
-            f_plus = self.eval(t + dt, z).value
-            f_here = self.eval(t, z).value
-            df_dt = (f_plus - f_here) / dt
-        D = np.empty((q, q), dtype=complex)
-        eye = np.eye(q, dtype=complex)
-        for j in range(q):
-            fp = self.eval(t, z + _DZ * eye[j]).value
-            fm = self.eval(t, z - _DZ * eye[j]).value
-            D[:, j] = (fp - fm) / (2.0 * _DZ)
+            df_dt = (f_plus - self.eval(t, z).value) / dt
+        step = _DZ * np.eye(q, dtype=complex)
+        f = np.array([cv.value for cv in self.eval_many(
+            t, np.concatenate([z + step, z - step]))])
+        # C order: D @ h rounds differently on a transposed view
+        D = np.ascontiguousarray(((f[:q] - f[q:]) / (2.0 * _DZ)).T)
         transport = D @ self.field.h(z, t)
         return float(np.linalg.norm(df_dt - transport)
                      / (1.0 + np.linalg.norm(transport)))
@@ -255,16 +253,11 @@ class ChainEvaluator:
         radii = tuple(radius * (k + 1) / shells for k in range(shells))
         pts = SamplePlan(radii=radii, directions=directions,
                          seed=seed).states(self.field.dim)
-        values = []
-        all_converged = True
-        for i in range(pts.shape[0]):
-            cv = self.eval(t, pts[i])
-            values.append(cv.value)
-            all_converged &= cv.converged
-        residuals = [self.identity_residual(0.0, t, pts[i])
-                     for i in range(min(_SPOT_CHECKS, pts.shape[0]))]
-        return RangeSample(t=t, points=pts, values=np.array(values),
-                           converged=all_converged,
+        values = self.eval_many(t, pts)
+        residuals = self._inclusion_residuals(0.0, t, pts[:_SPOT_CHECKS])
+        return RangeSample(t=t, points=pts,
+                           values=np.array([cv.value for cv in values]),
+                           converged=all(cv.converged for cv in values),
                            inclusion_residuals=tuple(residuals))
 
 

@@ -48,8 +48,8 @@ from .errors import (ChainUnavailableError, DegenerateTransitionError,
                      NumericalFailureError, ScheduleRejectedError,
                      StiffnessError)
 from .fields import (FieldSpec, SamplePlan, builtin_field, class_n_check,
-                     check_real, complex_rows, growth_check, gurganus_check,
-                     parse_field_config, read_field_config,
+                     check_real, check_seed, complex_rows, growth_check,
+                     gurganus_check, parse_field_config, read_field_config,
                      remainder_order_check)
 from .flow import (FlowRequest, decay_bounds_check, evolve, semigroup_defect,
                    trace)
@@ -57,6 +57,8 @@ from .linear import VERDICT_VIOLATED, LinearPath, classify_hypotheses
 from .schedule import build_schedule, contraction_check
 
 SCHEMA_VERSION = 1
+#: most points a --t-grid may ask for
+_MAX_GRID = 100_001
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -220,6 +222,7 @@ def _check_run_config(args):
     if not 1 <= args.horizon <= 10000:
         raise InvalidInputError(
             f"--horizon {args.horizon} outside [1, 10000]")
+    check_seed(args.seed, "--seed")
 
 
 def _parse_floats(text, what, sep=",") -> list[float]:
@@ -237,6 +240,9 @@ def _parse_grid(text) -> np.ndarray:
     if (len(vals) != 3 or vals[1] <= vals[0] or vals[2] < 2
             or vals[2] != int(vals[2])):
         raise InvalidInputError(f"--t-grid needs start:stop:count, got {text!r}")
+    if vals[2] > _MAX_GRID:
+        raise InvalidInputError(f"--t-grid count {vals[2]:.0f} exceeds "
+                                f"{_MAX_GRID}")
     return np.linspace(vals[0], vals[1], int(vals[2]))
 
 

@@ -49,6 +49,8 @@ INEQUALITY_SLACK = -1e-10
 _FD_STEP = 1e-5  # complex central-difference step for quadratic jets
 #: number types check_real accepts (bool, an int subclass, is refused)
 _REAL_TYPES = (int, float, np.integer, np.floating)
+#: most directions per shell a SamplePlan may draw
+MAX_DIRECTIONS = 65_536
 
 
 def c_of(r: float) -> float:
@@ -79,8 +81,10 @@ class SamplePlan:
         for r in self.radii:
             if not 0.0 < r < 1.0:
                 raise InvalidInputError(f"shell radius {r} outside (0, 1)")
-        if self.directions < 1:
-            raise InvalidInputError("directions must be >= 1")
+        if not 1 <= self.directions <= MAX_DIRECTIONS:
+            raise InvalidInputError(f"directions must be in [1, "
+                                    f"{MAX_DIRECTIONS}], got {self.directions}")
+        check_seed(self.seed)
 
     def states(self, dim: int) -> np.ndarray:
         """All sample states, shape (len(radii) * directions, dim): the
@@ -199,6 +203,13 @@ def check_real(x, name: str) -> float:
         except OverflowError:
             pass
     raise InvalidInputError(f"{name} must be a finite real, got {x!r}")
+
+
+def check_seed(x, name: str = "seed") -> int:
+    """``x`` as an int if it is a non-negative integer (booleans refused)."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0:
+        return int(x)
+    raise InvalidInputError(f"{name} must be a non-negative integer, got {x!r}")
 
 
 def _complex_entry(x, name: str) -> complex:

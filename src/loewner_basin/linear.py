@@ -555,7 +555,8 @@ class InverseTransitionProduct:
     For factors L_0, L_1, ..., L_{m-1} (composing left to right, so the
     product is L_{m-1} @ ... @ L_0), ``apply(v)`` returns
     (L_{m-1} ... L_0)^{-1} v by solving one linear system per factor,
-    newest factor first.  No explicit inverse is ever formed.
+    newest factor first, for a vector or for every row of a block at
+    once.  No explicit inverse is ever formed.
 
     A running condition estimate (product of per-factor 2-norm
     condition numbers) guards against degeneracy: pushing a factor that
@@ -600,11 +601,15 @@ class InverseTransitionProduct:
         return InverseTransitionProduct(self.dim, self._factors + (F,), est)
 
     def apply(self, v) -> np.ndarray:
-        """(L_{m-1} ... L_0)^{-1} v via backward linear solves."""
-        x = np.asarray(v, dtype=complex)
-        if x.shape != (self.dim,):
-            raise InvalidInputError(f"expected a vector of length {self.dim}")
+        """(L_{m-1} ... L_0)^{-1} v for a vector or each row of an (n, dim)
+        block: one solve per factor, each row a single right-hand side, so
+        a row gets the bits it gets alone.  Always returns a new array."""
+        x = np.array(v, dtype=complex)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise InvalidInputError(f"expected a vector of length {self.dim} "
+                                    f"or an (n, {self.dim}) block of rows")
+        x = x[..., None]
         for F in reversed(self._factors):
             x = np.linalg.solve(F, x)
-        return x
+        return x[..., 0]
 

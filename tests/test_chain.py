@@ -9,6 +9,7 @@ from loewner_basin import fields as F
 from loewner_basin import schedule as S
 from loewner_basin.errors import (ChainUnavailableError,
                                   HorizonExhaustedError, InvalidInputError)
+from loewner_basin.linear import InverseTransitionProduct
 
 from conftest import CHAIN_FIELD_NAMES, CHAIN_TOL
 
@@ -93,11 +94,14 @@ def test_normalization_telescopes(chain_for):
     ev = chain_for("quadratic-perturbation")
     rng = np.random.default_rng(1)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    for m in (0, 3, 7):
+    prefix = InverseTransitionProduct.identity(2)
+    for m in range(8):
         lam = ev.step_factor(m)
-        a = ev._prefix(m + 1).apply(lam @ v)
-        b = ev._prefix(m).apply(v)
-        assert np.max(np.abs(a - b)) < 1e-10
+        if m in (0, 3, 7):
+            a = prefix.push(lam).apply(lam @ v)
+            b = prefix.apply(v)
+            assert np.max(np.abs(a - b)) < 1e-10
+        prefix = prefix.push(lam)
 
 
 def test_derivative_at_origin_matches_exponential(chain_for):
@@ -201,3 +205,28 @@ def test_eval_many_shapes(chain_for):
     ev = chain_for("koebe-1d")
     vals = ev.eval_many(0.0, np.array([[0.1 + 0j], [0.2 + 0j]]))
     assert len(vals) == 2 and all(cv.converged for cv in vals)
+
+
+def test_batched_rows_match_lone_evaluation(chain_for):
+    # each row of eval_many takes exactly the legs and solves it takes
+    # alone, wherever it sits in a batch: with N = 20 the small state
+    # converges, the zero state short-cuts and the far state runs out of
+    # horizon after taking steps, so rows retire at different m
+    ev = chain_for("quadratic-perturbation", 20)
+    u = ev.schedule.u
+    d = np.array([0.6 + 0.2j, -0.3 + 0.7j])
+    d /= np.linalg.norm(d)
+    near, far, zero = 0.1 * d, 0.6 * d, np.zeros(2, dtype=complex)
+    for t in (u[1], 0.5 * (u[1] + u[2])):
+        alone = [ev.eval(t, z) for z in (near, far, zero)]
+        assert alone[0].converged and alone[0].m_used < 20
+        assert not alone[1].converged and len(alone[1].history) > 0
+        assert alone[2].converged and alone[2].history == ()
+        for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2, 0)):
+            pts = np.array([(near, far, zero)[k] for k in order])
+            for k, cv in zip(order, ev.eval_many(t, pts)):
+                want = alone[k]
+                assert cv.value.tobytes() == want.value.tobytes(), (t, order)
+                assert (cv.m_used, cv.last_increment, cv.converged,
+                        cv.history) == (want.m_used, want.last_increment,
+                                        want.converged, want.history)

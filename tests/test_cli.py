@@ -62,6 +62,14 @@ def test_malformed_inputs_exit_1_with_one_error_line(capsys, tmp_path):
         ("schedule", "--field", str(latin1)),
         ("schedule", "--builtin", "constant-linear", "--param", "dim=2.5"),
         ("chain", "--builtin", "koebe-1d", "--points", "[[NaN]]"),
+        ("chain", "--builtin", "koebe-1d", "--seed", "-1"),
+        ("chain", "--builtin", "koebe-1d", "--points", "[[0.2]]",
+         "--seed", "-1"),
+        ("schedule", "--builtin", "koebe-1d", "--seed", "-1"),
+        ("analyze", "--builtin", "koebe-1d", "--t-grid", "0:1:1e12"),
+        ("flow", "--builtin", "koebe-1d", "--t", "1",
+         "--directions", "1000000000000"),
+        ("range", "--builtin", "koebe-1d", "--directions", "1000000000000"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

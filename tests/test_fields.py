@@ -123,6 +123,16 @@ def test_sample_plan_is_deterministic():
     assert norms.max() < 1.0 and norms.min() > 0.0
 
 
+def test_sample_plan_refuses_bad_seed_and_directions():
+    # refused when built, before any state is drawn
+    for kw in ({"seed": -1}, {"seed": True}, {"seed": 1.0},
+               {"directions": 0}, {"directions": F.MAX_DIRECTIONS + 1}):
+        with pytest.raises(InvalidInputError):
+            F.SamplePlan(**kw)
+    assert F.SamplePlan(seed=np.int64(3)).seed == 3
+    assert F.check_seed(5, "--seed") == 5
+
+
 # ---------------------------------------------------------------------------
 # config format
 

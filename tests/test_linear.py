@@ -430,3 +430,27 @@ def test_inverse_product_rejects_singular_factor():
     acc = InverseTransitionProduct.identity(2)
     with pytest.raises(DegenerateTransitionError):
         acc.push(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
+
+
+def test_apply_returns_a_new_array():
+    v = np.array([0.3 + 0.1j, -0.2 + 0.0j])
+    x = InverseTransitionProduct.identity(2).apply(v)
+    x[0] = 99.0
+    assert v[0] == 0.3 + 0.1j
+
+
+def test_apply_block_rows_match_vectors_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for q in (1, 2, 3, 8):
+        acc = InverseTransitionProduct.identity(q)
+        for _ in range(4):
+            acc = acc.push(rng.standard_normal((q, q))
+                           + 1j * rng.standard_normal((q, q)) + 3 * np.eye(q))
+        for n in (1, 2, 7, 65):
+            V = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+            X = acc.apply(V)
+            assert X.shape == (n, q)
+            for i in range(n):
+                assert X[i].tobytes() == acc.apply(V[i]).tobytes()
+    with pytest.raises(InvalidInputError):
+        acc.apply(np.zeros((2, 2, 8)))
