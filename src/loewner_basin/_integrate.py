@@ -6,21 +6,17 @@ error per unit step against a mixed absolute/relative scale with an
 absolute floor of 1e-14, so trajectories that collapse toward 0 keep
 integrating instead of chasing a vanishing relative scale.
 
-The state is a flat complex ndarray of size n; callers flatten matrices
-or jet tensors as needed.  The seven stage derivatives live in one
-preallocated (7, n) array, and every stage argument, the 5th order
-candidate and the error vector are formed from it by
-``np.einsum("k,kn->n", weights, stages)``, which sums the stages in
-tableau order (a BLAS product would not fix that order).  Steps never
-straddle a declared breakpoint: the requested span is split at interior
-breakpoints and each smooth segment starts with a fresh first stage,
-since the right hand side may jump there.  Each call may spend at most
-``_MAX_STEPS`` accepted plus rejected steps; past that budget it raises
+Axis 0 of the state holds independent rows, all stepped by one call.
+Each row keeps its own time, step size, PI memory and step budget, so
+it takes exactly the steps, and gets exactly the bits, it would get
+alone.  Stage sums are ``np.einsum("k,knd->nd", weights, stages)`` over
+one (7, n, d) stage array, which adds the stages in tableau order entry
+by entry (a BLAS product would not), and the PI factors are Python
+floats (a vectorized power rounds differently).  Steps never straddle a
+declared breakpoint: each smooth segment between them starts with a
+fresh first stage, since the right hand side may jump there.  Past
+``_MAX_STEPS`` accepted plus rejected steps a row raises
 NumericalFailureError.
-
-Everything here is deterministic: for a fixed right hand side, span and
-tolerance the accepted step sequence, and therefore the result, is
-reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -72,18 +68,12 @@ def check_tol(tol: float, name: str = "tolerance") -> float:
 
 @dataclass
 class StepStats:
-    """Counters accumulated over one integration call."""
+    """Counters accumulated over one integration call and all its rows."""
 
     steps_taken: int = 0
     steps_rejected: int = 0
     max_local_error: float = 0.0
     rhs_evaluations: int = 0
-
-    def merge(self, other: "StepStats") -> None:
-        self.steps_taken += other.steps_taken
-        self.steps_rejected += other.steps_rejected
-        self.max_local_error = max(self.max_local_error, other.max_local_error)
-        self.rhs_evaluations += other.rhs_evaluations
 
 
 def _split_segments(s: float, t: float, breakpoints) -> list[tuple[float, float]]:
@@ -96,26 +86,28 @@ def integrate_adaptive(rhs, s: float, t: float, y0: np.ndarray, tol: float,
                        *, breakpoints=(), escape_radius: float | None = None,
                        on_step=None, atol: float | None = None
                        ) -> tuple[np.ndarray, StepStats]:
-    """Integrate y' = rhs(tau, y) from s to t (s <= t).
+    """Integrate y' = rhs(tau, y) from s to t (s <= t) for every row of y0.
 
     Parameters
     ----------
-    rhs : callable(tau, y) -> ndarray
-        Right hand side; must return an array of y's shape.
+    rhs : callable(tau, Y) -> ndarray
+        Right hand side for the live rows Y, shape (k, ...), with one time
+        per row in tau; row i of the result may use only Y[i] and tau[i].
     s, t : float
         Time span, s <= t.
     y0 : ndarray
-        Initial state (complex, any shape; flattened internally).
+        Initial states, shape (n, ...); axis 0 indexes independent rows.
     tol : float
         Local error per unit step tolerance (relative part; the absolute
         floor is ``atol``).
     breakpoints : iterable of float
         Interior times the stepper must not straddle.
     escape_radius : float, optional
-        If given, raise EscapeError when the 2-norm of the state reaches
-        this radius after an accepted step.
+        If given, raise EscapeError, with the row's time and state, once
+        the 2-norm of a row reaches this radius after an accepted step.
     on_step : callable(tau, y), optional
-        Invoked after every accepted step (not at the initial point).
+        One-row y0 only: called with the time and the state (y0's shape)
+        after every accepted step (not at the initial point).
     atol : float, optional
         Absolute error floor, default 1e-14.  Pass 0.0 for pure
         relative control when the state decays exponentially but must
@@ -125,7 +117,7 @@ def integrate_adaptive(rhs, s: float, t: float, y0: np.ndarray, tol: float,
 
     Returns
     -------
-    (y, stats) : ndarray, StepStats
+    (y, stats) : ndarray of y0's shape, StepStats
     """
     if not np.isfinite(s) or not np.isfinite(t) or t < s:
         raise InvalidInputError(f"bad time span [{s}, {t}]")
@@ -134,77 +126,109 @@ def integrate_adaptive(rhs, s: float, t: float, y0: np.ndarray, tol: float,
         atol = ATOL_FLOOR
     elif not 0.0 <= atol <= 1e-2:
         raise InvalidInputError(f"atol {atol} outside [0, 1e-2]")
-    y = np.array(y0, dtype=complex)
-    shape = y.shape
-    y = y.ravel()
+    y = np.array(y0, dtype=complex, ndmin=1)
+    shape, n = y.shape, len(y)
+    if on_step is not None and n != 1:
+        raise InvalidInputError("on_step needs a one-row block")
+    Y = y.reshape(n, math.prod(shape[1:]))  # a view of the result rows
     stats = StepStats()
-    K = np.empty((7, y.size), dtype=complex)  # the seven stage derivatives
-    prev_ratio = 1e-4  # PI controller memory: last accepted error ratio
+    taken, rejected = np.zeros((2, n), dtype=int)  # steps per row
+    prev = np.full(n, 1e-4)  # PI controller memory: last accepted error ratio
+
+    def f(times, states):
+        stats.rhs_evaluations += len(states)
+        return np.asarray(rhs(times, states.reshape((-1,) + shape[1:])),
+                          dtype=complex).reshape(states.shape)
+
     for (a, b) in _split_segments(s, t, breakpoints):
-        if b <= a:
+        if b <= a or not n:
             continue
         # Clamp stage times one ulp inside the segment so the right-hand
         # side is never sampled on the far side of a declared breakpoint
         # (stage abscissae can land exactly on, or round past, an end).
-        a_in = np.nextafter(a, b)
-        b_in = np.nextafter(b, a)
-
-        def f(time, state):
-            stats.rhs_evaluations += 1
-            time = min(max(time, a_in), b_in)
-            return np.asarray(rhs(time, state.reshape(shape)),
-                              dtype=complex).ravel()
-
-        tau = a
+        a_in, b_in = np.nextafter(a, b), np.nextafter(b, a)
+        end = 1e-15 * max(1.0, abs(b))
+        floor = _HMIN_REL * max(1.0, abs(a), abs(b))  # >= every row's floor
+        rows, x, tau = np.arange(n), Y.copy(), np.full(n, a)  # the live rows
+        K = np.empty((7,) + x.shape, dtype=complex)  # the stage derivatives
         # A fresh first stage per segment: the right-hand side may jump
         # at a breakpoint.  Initial step from the magnitude/velocity ratio.
-        K[0] = f(tau, y)
-        d0 = float(np.abs(y).max())
-        d1 = float(np.abs(K[0]).max())
-        h = min(b - a, 1e-2 * (d0 + ATOL_FLOOR) / (d1 + ATOL_FLOOR))
-        h = max(h, 1e-10 * (b - a))
-        while (remaining := b - tau) > 1e-15 * max(1.0, abs(b)):
-            h = min(h, remaining)
-            attempts = stats.steps_taken + stats.steps_rejected
-            if attempts >= _MAX_STEPS:
+        K[0] = f(np.minimum(np.maximum(tau, a_in), b_in), x)
+        d0, d1 = np.abs(x).max(axis=1), np.abs(K[0]).max(axis=1)
+        h = np.fmin(b - a, 1e-2 * (d0 + ATOL_FLOOR) / (d1 + ATOL_FLOOR))
+        h = np.maximum(h, 1e-10 * (b - a))
+        while (going := b - tau > end).any():
+            if not going.all():  # retire the rows that reached b
+                Y[rows[~going]] = x[~going]
+                rows, x, tau, h = (v[going] for v in (rows, x, tau, h))
+                K = K[:, going]
+            remaining = b - tau
+            h = np.minimum(h, remaining)
+            spent = taken[rows] + rejected[rows]
+            if spent.max() >= _MAX_STEPS:
+                k = int(np.argmax(spent))
                 raise NumericalFailureError(
                     f"step budget of {_MAX_STEPS} steps exhausted at "
-                    f"t = {tau!r} on [{s!r}, {t!r}]", iterations=attempts)
+                    f"t = {float(tau[k])!r} on [{s!r}, {t!r}]",
+                    iterations=int(spent[k]))
             # Underflow means the controller ground the step below the
             # floor; a final step clamped to a sub-floor remainder is fine.
-            if h < _HMIN_REL * max(1.0, abs(tau)) and h < remaining:
+            if h.min() < floor and (under := (h < remaining) & (
+                    h < _HMIN_REL * np.maximum(1.0, np.abs(tau)))).any():
+                k = int(np.argmax(under))
                 raise StiffnessError(
                     "step size underflow (stiff or non-smooth field?)",
-                    diagnostics={"t": tau, "h": h,
-                                 "steps_taken": stats.steps_taken,
-                                 "steps_rejected": stats.steps_rejected})
+                    diagnostics={"t": float(tau[k]), "h": float(h[k]),
+                                 "steps_taken": int(taken[rows[k]]),
+                                 "steps_rejected": int(rejected[rows[k]])})
+            T = np.minimum(np.maximum(tau + _C[:, None] * h, a_in), b_in)
+            hh = h[:, None]
             # The last stage argument is the 5th order candidate (FSAL).
             for i in range(1, 7):
-                y5 = y + h * np.einsum("k,kn->n", _A[i, :i], K[:i])
-                K[i] = f(tau + _C[i] * h, y5)
-            est = float(np.abs(h * np.einsum("k,kn->n", _E, K)).max())
-            y5_max = float(np.abs(y5).max())
-            if not (math.isfinite(est) and math.isfinite(y5_max)):
-                raise NumericalFailureError(f"non-finite step at t = {tau!r}",
-                                            iterations=stats.steps_taken)
-            scale = atol + tol * max(float(np.abs(y).max()), y5_max)
-            ratio = max(est / (h * scale) if est > 0.0 else 0.0, 1e-16)
-            if ratio > 1.0:
-                stats.steps_rejected += 1
-                h *= min(1.0, max(0.1, _SAFETY * ratio ** -_ALPHA))
-                continue
-            tau = b if (b - (tau + h)) <= 1e-15 * max(1.0, abs(b)) else tau + h
-            y = y5
-            K[0] = K[6]
-            stats.steps_taken += 1
-            stats.max_local_error = max(stats.max_local_error, est)
-            if escape_radius is not None and (
-                    float(np.linalg.norm(y)) >= escape_radius):
-                raise EscapeError("trajectory reached the unit sphere tripwire",
-                                  t=tau, point=y.reshape(shape).copy())
+                x5 = x + hh * np.einsum("k,knd->nd", _A[i, :i], K[:i])
+                K[i] = f(T[i], x5)
+            est = np.abs(hh * np.einsum("k,knd->nd", _E, K)).max(axis=1)
+            x5_max = np.abs(x5).max(axis=1)
+            finite = np.isfinite(est) & np.isfinite(x5_max)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise NumericalFailureError(
+                    f"non-finite step at t = {float(tau[k])!r}",
+                    iterations=int(taken[rows[k]]))
+            scale = atol + tol * np.maximum(np.abs(x).max(axis=1), x5_max)
+            ratio = np.maximum(np.divide(est, h * scale, where=est > 0.0,
+                                         out=np.zeros(len(est))), 1e-16)
+            rej = ratio > 1.0
+            acc = slice(None)  # no masks unless some row rejects
+            if rej.any():
+                rejected[rows[rej]] += 1
+                h[rej] *= [min(1.0, max(0.1, _SAFETY * r ** -_ALPHA))
+                           for r in ratio[rej].tolist()]
+                if rej.all():
+                    continue
+                acc = ~rej
+            t_next = tau[acc] + h[acc]
+            tau[acc] = np.where(b - t_next <= end, b, t_next)
+            x[acc] = x5[acc]
+            K[0, acc] = K[6, acc]
+            taken[rows[acc]] += 1
+            stats.max_local_error = max(stats.max_local_error,
+                                        float(est[acc].max()))
+            if escape_radius is not None:
+                hit = (np.linalg.norm(x, axis=1) >= escape_radius) & ~rej
+                if hit.any():
+                    k = int(np.argmax(hit))
+                    raise EscapeError(
+                        "trajectory reached the unit sphere tripwire",
+                        t=float(tau[k]), point=x[k].reshape(shape[1:]).copy())
             if on_step is not None:
-                on_step(tau, y.reshape(shape).copy())
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * ratio ** -_ALPHA
-                                      * prev_ratio ** _BETA))
-            prev_ratio = ratio
-    return y.reshape(shape), stats
+                on_step(float(tau[0]), x.reshape(shape).copy())
+            h[acc] *= [min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * r ** -_ALPHA
+                                            * q ** _BETA))
+                       for r, q in zip(ratio[acc].tolist(),
+                                       prev[rows[acc]].tolist())]
+            prev[rows[acc]] = ratio[acc]
+        Y[rows] = x
+    stats.steps_taken = int(taken.sum())
+    stats.steps_rejected = int(rejected.sum())
+    return y, stats

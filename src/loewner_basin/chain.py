@@ -136,12 +136,12 @@ class ChainEvaluator:
     def eval_many(self, t: float, points) -> list[ChainValue]:
         """Evaluate the time-t limit map at each row of points, |z| < 1.
 
-        Needs t <= u_N.  All rows march together from the first u_m >= t:
-        each integrates its own legs, and one accumulator undoes Lam_m on
-        every live row with one block solve per factor, so each row gets
-        the bits it would get alone.  A row retires after two consecutive
-        increments below tolerance; if the horizon runs out first it
-        keeps its last approximant with converged=False.
+        Needs t <= u_N.  All rows march together from the first u_m >= t;
+        each leg is one integrator call on the live rows, and one
+        accumulator undoes Lam_m on them with one block solve per factor,
+        so each row gets the bits it would get alone.  A row retires after
+        two consecutive increments below tolerance; if the horizon runs
+        out first it keeps its last approximant with converged=False.
         """
         u = self.schedule.u
         N = self.schedule.horizon_N
@@ -165,9 +165,8 @@ class ChainEvaluator:
         # trajectory of a nonzero state never reaches 0 (solutions are
         # unique and 0 is a stationary point).
         if u[m0] > t:
-            for i in live:
-                W[i], _ = _evolve_one(self.field, t, u[m0], W[i],
-                                      self.tol_ode, atol=0.0)
+            W[live], _ = _evolve_one(self.field, t, u[m0], W[live],
+                                     self.tol_ode, atol=0.0)
         acc = InverseTransitionProduct.identity(self.field.dim)
         for j in range(m0):
             acc = acc.push(self.step_factor(j))
@@ -177,9 +176,8 @@ class ChainEvaluator:
         small_run = [0] * len(out)
         m = m0
         while m < N and live.size:
-            for i in live:
-                W[i], _ = _evolve_one(self.field, u[m], u[m + 1], W[i],
-                                      self.tol_ode, atol=0.0)
+            W[live], _ = _evolve_one(self.field, u[m], u[m + 1], W[live],
+                                     self.tol_ode, atol=0.0)
             acc = acc.push(self.step_factor(m))
             m += 1
             keep = []
@@ -203,9 +201,8 @@ class ChainEvaluator:
     def _inclusion_residuals(self, s: float, t: float, pts) -> list[float]:
         """Relative defect of f_s(z) = f_t(phi_{s,t}(z)) per row z."""
         left = self.eval_many(s, pts)
-        moved = np.array([_evolve_one(self.field, s, t, z, self.tol_ode)[0]
-                          for z in pts])
-        right = self.eval_many(t, moved)
+        right = self.eval_many(t, _evolve_one(self.field, s, t, pts,
+                                              self.tol_ode)[0])
         return [float(np.linalg.norm(a.value - b.value)
                       / (1.0 + np.linalg.norm(a.value)))
                 for a, b in zip(left, right)]

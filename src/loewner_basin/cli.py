@@ -237,9 +237,10 @@ def _parse_floats(text, what, sep=",") -> list[float]:
 
 def _parse_grid(text) -> np.ndarray:
     vals = _parse_floats(text, "--t-grid", ":")
-    if (len(vals) != 3 or vals[1] <= vals[0] or vals[2] < 2
+    if (len(vals) != 3 or not 0.0 <= vals[0] < vals[1] or vals[2] < 2
             or vals[2] != int(vals[2])):
-        raise InvalidInputError(f"--t-grid needs start:stop:count, got {text!r}")
+        raise InvalidInputError("--t-grid needs start:stop:count with "
+                                f"0 <= start < stop, got {text!r}")
     if vals[2] > _MAX_GRID:
         raise InvalidInputError(f"--t-grid count {vals[2]:.0f} exceeds "
                                 f"{_MAX_GRID}")

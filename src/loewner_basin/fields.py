@@ -84,6 +84,9 @@ class SamplePlan:
         if not 1 <= self.directions <= MAX_DIRECTIONS:
             raise InvalidInputError(f"directions must be in [1, "
                                     f"{MAX_DIRECTIONS}], got {self.directions}")
+        if any(check_real(t, "sample time") < 0.0 for t in self.times):
+            raise InvalidInputError(f"sample times must be >= 0, got "
+                                    f"{self.times}")
         check_seed(self.seed)
 
     def states(self, dim: int) -> np.ndarray:
@@ -110,7 +113,8 @@ class FieldSpec:
         The linear part t -> A(t) with its mass integrals.
     remainder : callable(z, t) -> ndarray
         h(z, t) - A(t) z; must vanish to second order at z = 0 and
-        broadcast over leading axes of z with shape (..., q).
+        broadcast over leading axes of z with shape (..., q); t is one
+        time, or an array of one time per row of an (n, q) block z.
     quadratic : None, ndarray or callable(t) -> ndarray
         Exact quadratic coefficients of h at 0 as a (q, q, q) tensor
         symmetric in its last two indices; None means "extract by
@@ -140,13 +144,11 @@ class FieldSpec:
     def A(self, t: float) -> np.ndarray:
         return self.linear.A(t)
 
-    def h(self, z: np.ndarray, t: float) -> np.ndarray:
-        """Evaluate the field; z has shape (q,) or (..., q)."""
+    def h(self, z: np.ndarray, t) -> np.ndarray:
+        """Evaluate the field; z has shape (q,) or (..., q), and t is one
+        time or one time per row of an (n, q) block."""
         z = np.asarray(z, dtype=complex)
-        A = self.linear.A(t)
-        if z.ndim == 1:
-            return A @ z + self.remainder(z, t)
-        return np.einsum("ij,...j->...i", A, z) + self.remainder(z, t)
+        return (self.linear.A(t) @ z[..., None])[..., 0] + self.remainder(z, t)
 
     def quadratic_at(self, t: float) -> np.ndarray:
         """Quadratic coefficient tensor H with h_i = (A z)_i +
@@ -160,25 +162,17 @@ class FieldSpec:
         if self.quadratic is not None:
             Hq = self.quadratic(t) if callable(self.quadratic) else self.quadratic
             return np.asarray(Hq, dtype=complex)
-        q = self.dim
-        d = _FD_STEP
-        Hq = np.zeros((q, q, q), dtype=complex)
-        eye = np.eye(q, dtype=complex)
-        for i in range(q):
-            ei = eye[i]
-            plus = self.remainder(d * ei, t)
-            minus = self.remainder(-d * ei, t)
-            Hq[:, i, i] = (plus + minus) / (2.0 * d * d)
-        for i in range(q):
-            for j in range(i + 1, q):
-                u = eye[i]
-                v = eye[j]
-                val = (self.remainder(d * (u + v), t)
-                       - self.remainder(d * (u - v), t)
-                       - self.remainder(d * (-u + v), t)
-                       + self.remainder(d * (-u - v), t)) / (8.0 * d * d)
-                Hq[:, i, j] = val
-                Hq[:, j, i] = val
+        # each stencil evaluates the remainder on one block of probe rows
+        d, r = _FD_STEP, self.remainder
+        eye = np.eye(self.dim, dtype=complex)
+        k = np.arange(self.dim)
+        i, j = np.triu_indices(self.dim, 1)
+        u, v = eye[i], eye[j]
+        Hq = np.zeros((self.dim,) * 3, dtype=complex)
+        Hq[:, k, k] = ((r(d * eye, t) + r(-d * eye, t)) / (2.0 * d * d)).T
+        Hq[:, i, j] = Hq[:, j, i] = (
+            (r(d * (u + v), t) - r(d * (u - v), t) - r(d * (-u + v), t)
+             + r(d * (-u - v), t)) / (8.0 * d * d)).T
         return Hq
 
 
@@ -709,11 +703,11 @@ def parse_field_config(cfg: dict) -> FieldSpec:
         profile = _parse_profile(rec.get("time_profile", "constant"))
         records.append((out, jk[0], jk[1], coeff, profile))
 
-    def profile_value(profile, t: float) -> float:
+    def profile_value(profile, t):
         if profile is None:
             return 1.0
         off, amp, freq, ph = profile
-        return off + amp * math.sin(freq * t + ph)
+        return off + amp * np.sin(freq * t + ph)
 
     def remainder(z, t):
         z = np.asarray(z, dtype=complex)

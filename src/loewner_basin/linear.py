@@ -27,6 +27,7 @@ discretization.  This module provides
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -270,11 +271,13 @@ class LinearPath:
             raise InvalidInputError("matrix has non-finite entries")
         return As
 
-    def A(self, t: float) -> np.ndarray:
-        """The matrix A(t)."""
+    def A(self, t) -> np.ndarray:
+        """A(t), shape (q, q), or for an array of times the stack t.shape +
+        (q, q); a constant path returns its one matrix, which broadcasts."""
         if self._const is not None:
             return self._const[0]
-        return self._matrices(np.array([float(t)]))[0]
+        ts = np.asarray(t, dtype=float)
+        return self._matrices(ts.ravel()).reshape(ts.shape + (self.dim,) * 2)
 
     def bounds_many(self, ts) -> np.ndarray:
         """Hermitian-part bounds at each time of a 1-D array: column 0 is
@@ -497,25 +500,17 @@ def classify_hypotheses(path: LinearPath, grid) -> HypothesisReport:
         prefixes = [path.integral_matrix(float(grid[0]), float(a))
                     for a in anchors]
         comm_verdict = VERDICT_SATISFIED
-        for i in range(len(anchors)):
-            for j in range(i + 1, len(anchors)):
-                for kk in range(j + 1, len(anchors)):
-                    X = prefixes[j] - prefixes[i]   # int_{a_i}^{a_j} A
-                    Y = prefixes[kk] - prefixes[j]  # int_{a_j}^{a_k} A
-                    comm = float(np.linalg.norm(X @ Y - Y @ X))
-                    bound = COMMUTATOR_TOL * max(
-                        float(np.linalg.norm(X)) * float(np.linalg.norm(Y)),
-                        1e-30)
-                    if comm > bound:
-                        comm_verdict = VERDICT_VIOLATED
-                        witnesses["commuting_uniform_bunching"].append(
-                            Witness(float(anchors[kk]),
-                                    "commutator norm of integrated blocks",
-                                    comm))
-                        break
-                if comm_verdict == VERDICT_VIOLATED:
-                    break
-            if comm_verdict == VERDICT_VIOLATED:
+        for i, j, kk in itertools.combinations(range(len(anchors)), 3):
+            X = prefixes[j] - prefixes[i]   # int_{a_i}^{a_j} A
+            Y = prefixes[kk] - prefixes[j]  # int_{a_j}^{a_k} A
+            comm = float(np.linalg.norm(X @ Y - Y @ X))
+            bound = COMMUTATOR_TOL * max(
+                float(np.linalg.norm(X)) * float(np.linalg.norm(Y)), 1e-30)
+            if comm > bound:
+                comm_verdict = VERDICT_VIOLATED
+                witnesses["commuting_uniform_bunching"].append(
+                    Witness(float(anchors[kk]),
+                            "commutator norm of integrated blocks", comm))
                 break
         parts.append(comm_verdict)
     verdicts["commuting_uniform_bunching"] = _combine(parts)
@@ -540,12 +535,10 @@ def transition_matrix(path: LinearPath, s: float, t: float,
     with the shared embedded RK pair; steps never straddle path
     breakpoints.
     """
-    def rhs(tau, J):
-        return -(path.A(tau) @ J)
-
-    J, _stats = integrate_adaptive(rhs, float(s), float(t),
-                                   np.eye(path.dim, dtype=complex), tol,
-                                   breakpoints=path.breakpoints)
+    (J,), _ = integrate_adaptive(lambda tau, J: -(path.A(tau) @ J),
+                                 float(s), float(t),
+                                 np.eye(path.dim, dtype=complex)[None], tol,
+                                 breakpoints=path.breakpoints)
     return J
 
 

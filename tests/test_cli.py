@@ -67,6 +67,8 @@ def test_malformed_inputs_exit_1_with_one_error_line(capsys, tmp_path):
          "--seed", "-1"),
         ("schedule", "--builtin", "koebe-1d", "--seed", "-1"),
         ("analyze", "--builtin", "koebe-1d", "--t-grid", "0:1:1e12"),
+        ("analyze", "--builtin", "diagonal-periodic", "--t-grid=-2:1:4"),
+        ("analyze", "--builtin", "diagonal-periodic", "--times=-1,0"),
         ("flow", "--builtin", "koebe-1d", "--t", "1",
          "--directions", "1000000000000"),
         ("range", "--builtin", "koebe-1d", "--directions", "1000000000000"),

@@ -4,9 +4,11 @@ origin jets, escape and validation guards."""
 import numpy as np
 import pytest
 
+from loewner_basin import _integrate
 from loewner_basin import fields as F
 from loewner_basin import flow as FL
-from loewner_basin.errors import EscapeError, InvalidInputError
+from loewner_basin.errors import (EscapeError, InvalidInputError,
+                                  NumericalFailureError)
 from loewner_basin.linear import LinearPath
 
 from conftest import unit_directions
@@ -197,3 +199,102 @@ def test_request_copies_callers_points(koebe):
     pts[0, 0] = 0.5
     assert req.points[0, 0] == 0.1
     assert not req.points.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# row blocks: every row steps as it would alone
+
+#: q = 2 field with a trig block until 1.5, then a constant block, and one
+#: quadratic record with a trig time profile
+TRIG_FILE_FIELD = {
+    "dim": 2,
+    "linear": [
+        {"until": 1.5, "base": [[1.0, 0.2], [-0.2, 1.3]],
+         "sin": [[0.1, [0.0, 0.05]], [0.0, -0.1]],
+         "cos": [[0.05, 0.0], [[0.0, 0.02], 0.08]], "frequency": 2.0},
+        {"until": None, "constant": [[1.2, 0.1], [-0.1, 1.0]]},
+    ],
+    "quadratic": [
+        {"out_index": 0, "in_indices": [0, 1], "coeff_re": 0.2,
+         "coeff_im": 0.1,
+         "time_profile": {"kind": "trig", "offset": 0.5, "amplitude": 0.3,
+                          "frequency": 1.7, "phase": 0.2}},
+    ],
+}
+
+
+def _outward_beyond(radius: float) -> F.FieldSpec:
+    # h(z) = z (1 - |z|^2 / radius^2): the flow -h contracts states inside
+    # the radius and pushes states outside it to the sphere
+    def remainder(z, t):
+        return -z * np.sum(np.abs(z) ** 2, axis=-1, keepdims=True) / radius**2
+
+    return F.FieldSpec(dim=1, linear=LinearPath.constant(np.eye(1)),
+                       remainder=remainder)
+
+
+def test_rows_step_as_they_would_alone(monkeypatch):
+    cases = [
+        (F.builtin_field("koebe-1d"), 0.0, 4.0),
+        (F.builtin_field("quadratic-perturbation", {"dim": 2}), 0.0, 3.0),
+        (F.builtin_field("quadratic-perturbation",
+                         {"dim": 8, "epsilon": 0.1}), 0.2, 2.0),
+        (F.parse_field_config(TRIG_FILE_FIELD), 0.5, 2.5),  # crosses 1.5
+    ]
+    for fld, s, t in cases:
+        pts = 0.7 * unit_directions(fld.dim, 3, seed=fld.dim)
+        pts *= np.array([[1.0], [0.15], [0.5]])
+        alone = [FL._evolve_one(fld, s, t, z[None], 1e-10) for z in pts]
+        for order in ((0, 1, 2), (1, 0, 2), (1, 2, 0)):
+            W, stats = FL._evolve_one(fld, s, t, pts[list(order)], 1e-10)
+            for w, k in zip(W, order):
+                assert w.tobytes() == alone[k][0][0].tobytes(), (fld, order)
+            assert (stats.steps_taken, stats.steps_rejected,
+                    stats.rhs_evaluations, stats.max_local_error) == (
+                sum(a[1].steps_taken for a in alone),
+                sum(a[1].steps_rejected for a in alone),
+                sum(a[1].rhs_evaluations for a in alone),
+                max(a[1].max_local_error for a in alone))
+
+    # one escaping row raises with its own time and point
+    out = _outward_beyond(0.6)
+    with pytest.raises(EscapeError) as lone:
+        FL._evolve_one(out, 0.0, 5.0, np.array([[0.7 + 0j]]), 1e-10)
+    with pytest.raises(EscapeError) as block:
+        FL._evolve_one(out, 0.0, 5.0, np.array([[0.2], [0.7], [0.5]]), 1e-10)
+    assert block.value.t == lone.value.t
+    assert block.value.point.tobytes() == lone.value.point.tobytes()
+
+    # the step budget counts each row's own steps
+    koebe = F.builtin_field("koebe-1d")
+    rows = np.array([[0.6 + 0.3j], [0.05 + 0j]])
+
+    def tries(z):
+        stats = FL._evolve_one(koebe, 0.0, 4.0, z[None], 1e-10)[1]
+        return stats.steps_taken + stats.steps_rejected
+
+    spent = [tries(z) for z in rows]
+    assert spent[0] < spent[1] - 1  # only the second row runs out
+    monkeypatch.setattr(_integrate, "_MAX_STEPS", spent[1] - 1)
+    with pytest.raises(NumericalFailureError) as lone:
+        FL._evolve_one(koebe, 0.0, 4.0, rows[1:], 1e-10)
+    with pytest.raises(NumericalFailureError) as block:
+        FL._evolve_one(koebe, 0.0, 4.0, rows, 1e-10)
+    assert lone.value.iterations == spent[1] - 1
+    assert (str(block.value), block.value.iterations) == (
+        str(lone.value), lone.value.iterations)
+    monkeypatch.undo()
+
+    # the escape tripwire takes each row's norm, not the block's
+    pair = np.array([[0.8 + 0j], [0.8j]])
+    W, _ = FL._evolve_one(koebe, 0.0, 1.0, pair, 1e-10)
+    for w, z in zip(W, pair):
+        assert w.tobytes() == FL._evolve_one(koebe, 0.0, 1.0, z[None],
+                                             1e-10)[0][0].tobytes()
+
+    # zero rows give an empty image block
+    qp2 = cases[1][0]
+    res = FL.evolve(FL.FlowRequest(field=qp2, s=0.0, t=1.0,
+                                   points=np.zeros((0, 2))))
+    assert res.images.shape == (0, 2)
+    assert (res.steps_taken, res.rhs_evaluations) == (0, 0)
