@@ -35,7 +35,7 @@ from .fields import (C_of, ClassNReport, FieldSpec, GrowthReport,
                      remainder_order_check)
 from .flow import (DecayReport, FlowRequest, FlowResult, Jet2,
                    decay_bounds_check, evolve, flow_point, jet2_transition,
-                   semigroup_defect, trace)
+                   semigroup_defect, trace, trajectories)
 from .linear import (GRID_MARGIN, MAX_DIM, HermitianBounds, HypothesisReport,
                      InverseTransitionProduct, LinearPath, Witness,
                      classify_hypotheses, ell_estimate, hermitian_bounds,
@@ -63,5 +63,5 @@ __all__ = [
     "hermitian_bounds", "jet2_transition", "load_field_file",
     "log_ratio_check", "operator_norm", "parse_field_config", "radius_for",
     "remainder_order_check", "semigroup_defect", "spectral_abscissa",
-    "trace", "transition_matrix", "__version__",
+    "trace", "trajectories", "transition_matrix", "__version__",
 ]

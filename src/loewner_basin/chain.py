@@ -111,18 +111,22 @@ class ChainEvaluator:
         self.schedule = schedule
         self.tol_chain = check_tol(tol_chain)
         self.tol_ode = check_tol(tol_ode)
-        self._factors: list = [None] * schedule.horizon_N
+        self._factors: np.ndarray | None = None
 
     def step_factor(self, m: int) -> np.ndarray:
-        """Lam_m, the linearization of the step phi_{u_m, u_{m+1}}
-        (integrated on first need, then kept; a racing first call only
-        repeats the same deterministic integration)."""
+        """Lam_m, the linearization of the step phi_{u_m, u_{m+1}}.
+
+        The first call integrates Lam_0 ... Lam_{N-1} as one block (one
+        ``transition_matrix`` call over all N steps) and keeps them; a
+        racing first call only repeats the same deterministic
+        integration.
+        """
         if not 0 <= m < self.schedule.horizon_N:
             raise InvalidInputError(f"step index {m} outside schedule")
-        if self._factors[m] is None:
-            u = self.schedule.u
-            self._factors[m] = transition_matrix(self.field.linear, u[m],
-                                                 u[m + 1], tol=self.tol_ode)
+        if self._factors is None:
+            u = np.array(self.schedule.u)
+            self._factors = transition_matrix(self.field.linear, u[:-1],
+                                              u[1:], tol=self.tol_ode)
         return self._factors[m].copy()
 
     # -- evaluation ------------------------------------------------------

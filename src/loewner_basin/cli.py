@@ -51,8 +51,10 @@ from .fields import (FieldSpec, SamplePlan, builtin_field, class_n_check,
                      check_real, check_seed, complex_rows, growth_check,
                      gurganus_check, parse_field_config, read_field_config,
                      remainder_order_check)
+# ``trace`` is not called here; it stays importable as ``cli.trace``, a
+# target of the benchmark's span tracer (bench/tracer.py).
 from .flow import (FlowRequest, decay_bounds_check, evolve, semigroup_defect,
-                   trace)
+                   trace, trajectories)
 from .linear import VERDICT_VIOLATED, LinearPath, classify_hypotheses
 from .schedule import build_schedule, contraction_check
 
@@ -359,7 +361,7 @@ def _cmd_flow(args, field: FieldSpec) -> tuple[dict, int, dict]:
     pts = _points_for(args, field.dim)
     req = FlowRequest(field=field, s=args.s, t=args.t, points=pts,
                       tol=args.tol_ode)
-    res = evolve(req)
+    res, paths = trajectories(req) if args.dense else (evolve(req), None)
     result = {
         "s": req.s, "t": req.t,
         "points": [_vec2j(p) for p in req.points],
@@ -370,22 +372,19 @@ def _cmd_flow(args, field: FieldSpec) -> tuple[dict, int, dict]:
         "rhs_evaluations": res.rhs_evaluations,
     }
     files = {}
-    if args.dense:
-        files["trajectories.csv"] = _trajectories_csv(args, field, req)
+    if paths is not None:
+        files["trajectories.csv"] = _trajectories_csv(field.dim, paths)
     return result, _EXIT_OK, files
 
 
-def _trajectories_csv(args, field: FieldSpec, req: FlowRequest) -> str:
-    q = field.dim
+def _trajectories_csv(q: int, paths) -> str:
     buf = io.StringIO()
     head = ["t", "point_index"]
     head += [f"re_{i + 1}" for i in range(q)]
     head += [f"im_{i + 1}" for i in range(q)]
     head.append("abs")
     buf.write(",".join(head) + "\n")
-    for idx in range(req.points.shape[0]):
-        times, states = trace(field, req.s, req.t, req.points[idx],
-                              tol=req.tol)
+    for idx, (times, states) in enumerate(paths):
         for tau, state in zip(times, states):
             row = [f"{tau:.17g}", str(idx)]
             row += [f"{state[i].real:.17g}" for i in range(q)]

@@ -11,7 +11,8 @@ phi_{s,t} = phi_{u,t} o phi_{s,u} for s <= u <= t, and phi_{s,s} = id.
 
 This module evolves a block of points with one call of the adaptive
 embedded Runge-Kutta integrator, whose rows step independently, so each
-result is independent of batch composition.  It exposes the composition
+result is independent of batch composition; ``trajectories`` records
+every accepted step of that same call.  It exposes the composition
 defect, verifies the two-sided modulus decay estimate
 
     exp(-C(r0) * K(s,t)) <= |phi_{s,t}(z)| / |z| <= exp(-c(r0) * M(s,t))
@@ -126,28 +127,39 @@ def flow_point(field: FieldSpec, s: float, t: float, z, tol: float = 1e-10
     return evolve(req).images[0]
 
 
+def trajectories(request: FlowRequest
+                 ) -> tuple[FlowResult, list[tuple[list[float], list]]]:
+    """Evolve every start point through [s, t] as one block, recording
+    every accepted step of every row.
+
+    Returns the ``evolve`` result and, per start point, (times, states)
+    with the start first and the final state last.  Step times come from
+    the adaptive controller, so the grids are not uniform.
+    """
+    paths = [([request.s], [z.copy()]) for z in request.points]
+
+    def on_step(rows, taus, states):
+        for i, tau, w in zip(rows.tolist(), taus.tolist(), states):
+            paths[i][0].append(tau)
+            paths[i][1].append(w)
+
+    images, stats = _evolve_one(request.field, request.s, request.t,
+                                request.points, request.tol, on_step=on_step)
+    for (times, states), w in zip(paths, images):
+        if times[-1] != request.t:
+            times.append(request.t)
+            states.append(w)
+    images.setflags(write=False)
+    return FlowResult(images=images, **vars(stats)), paths
+
+
 def trace(field: FieldSpec, s: float, t: float, z, tol: float = 1e-10
           ) -> tuple[list[float], list[np.ndarray]]:
-    """Evolve one state and record every accepted step.
-
-    Returns (times, states) with the initial state first and the final
-    state last.  Step times come from the adaptive controller, so the
-    grid is not uniform.
-    """
-    s, t = _check_times(s, t)
+    """Evolve one state and record every accepted step: the one-row case
+    of ``trajectories``, returning its (times, states)."""
     z = _check_points(z, field.dim, single=True)
-    times = [s]
-    states = [z[0].copy()]
-
-    def on_step(tau, y):
-        times.append(tau)
-        states.append(y[0])
-
-    w, _ = _evolve_one(field, s, t, z, tol, on_step=on_step)
-    if times[-1] != t:
-        times.append(t)
-        states.append(w[0])
-    return times, states
+    req = FlowRequest(field=field, s=s, t=t, points=z, tol=tol)
+    return trajectories(req)[1][0]
 
 
 def semigroup_defect(field: FieldSpec, s: float, u: float, t: float,

@@ -19,7 +19,8 @@ discretization.  This module provides
   all open panels of a refinement round in one call;
 * ``ell_estimate`` and ``classify_hypotheses``: grid-based bunching
   constants and per-criterion verdicts with explicit witnesses;
-* ``transition_matrix``: the linear flow J' = -A(t) J;
+* ``transition_matrix``: the linear flow J' = -A(t) J, one factor or a
+  stack of factors over many spans from one integrator call;
 * ``InverseTransitionProduct``: applies the inverse of an ordered
   product of transition factors to vectors through linear solves,
   never forming an explicit inverse, with a running condition estimate.
@@ -34,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._integrate import _split_segments, check_tol, integrate_adaptive
+from ._integrate import check_tol, integrate_adaptive
 from .errors import (DegenerateTransitionError, HypothesisViolationError,
                      InvalidInputError, NumericalFailureError)
 
@@ -180,8 +181,9 @@ def gauss_kronrod(f, a: float, b: float, tol: float, *,
         raise InvalidInputError("integration bounds must satisfy a <= b")
     if b == a:
         return 0.0 * np.asarray(f(np.array([a])), dtype=float).reshape(-1)
+    cuts = [a, *sorted({float(x) for x in breakpoints if a < float(x) < b}), b]
     edges = [np.linspace(x0, x1, _SEED_PANELS + 1)
-             for x0, x1 in _split_segments(a, b, breakpoints)]
+             for x0, x1 in zip(cuts, cuts[1:])]
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
     total = b - a
@@ -527,19 +529,23 @@ def classify_hypotheses(path: LinearPath, grid) -> HypothesisReport:
                             ell=ell, grid_size=int(grid.size))
 
 
-def transition_matrix(path: LinearPath, s: float, t: float,
-                      tol: float = 1e-10) -> np.ndarray:
+def transition_matrix(path: LinearPath, s, t, tol: float = 1e-10
+                      ) -> np.ndarray:
     """Linear transition factor: solve J' = -A(tau) J, J(s) = I, to t.
 
     For commuting families this equals exp(-int_s^t A).  Integrated
     with the shared embedded RK pair; steps never straddle path
-    breakpoints.
+    breakpoints.  Scalar s and t give one (q, q) factor; arrays of
+    starts and ends (or one scalar and one array) give the stack
+    (n, q, q) from one integrator call, each factor bit-identical to
+    its scalar call.
     """
-    (J,), _ = integrate_adaptive(lambda tau, J: -(path.A(tau) @ J),
-                                 float(s), float(t),
-                                 np.eye(path.dim, dtype=complex)[None], tol,
-                                 breakpoints=path.breakpoints)
-    return J
+    n = max(np.size(s), np.size(t))
+    J, _ = integrate_adaptive(lambda tau, J: -(path.A(tau) @ J), s, t,
+                              np.tile(np.eye(path.dim, dtype=complex),
+                                      (n, 1, 1)), tol,
+                              breakpoints=path.breakpoints)
+    return J if np.ndim(s) or np.ndim(t) else J[0]
 
 
 class InverseTransitionProduct:

@@ -1,8 +1,9 @@
 """Shared fixtures: the built-in corpus and cached chain evaluators.
 
-Chain evaluators are expensive to warm up (each one lazily integrates
-per-step transition matrices), so a session-scoped factory hands out
-one evaluator per (field name, horizon) pair and every test shares it.
+Chain evaluators are expensive to warm up (on first need each one
+integrates all its per-step transition matrices as one block), so a
+session-scoped factory hands out one evaluator per (field name,
+horizon) pair and every test shares it.
 """
 
 import numpy as np
@@ -28,6 +29,44 @@ CHAIN_TOL = 1e-9
 #: leg tolerance kept tighter than the stopping tolerance so measured
 #: increments reflect the maps, not integrator noise
 CHAIN_LEG_TOL = 1e-11
+
+
+#: q = 2 field with a trig block until 1.5, then a constant block, and one
+#: quadratic record with a trig time profile
+TRIG_FILE_FIELD = {
+    "dim": 2,
+    "linear": [
+        {"until": 1.5, "base": [[1.0, 0.2], [-0.2, 1.3]],
+         "sin": [[0.1, [0.0, 0.05]], [0.0, -0.1]],
+         "cos": [[0.05, 0.0], [[0.0, 0.02], 0.08]], "frequency": 2.0},
+        {"until": None, "constant": [[1.2, 0.1], [-0.1, 1.0]]},
+    ],
+    "quadratic": [
+        {"out_index": 0, "in_indices": [0, 1], "coeff_re": 0.2,
+         "coeff_im": 0.1,
+         "time_profile": {"kind": "trig", "offset": 0.5, "amplitude": 0.3,
+                          "frequency": 1.7, "phase": 0.2}},
+    ],
+}
+
+#: a field-file field with breakpoints at 1.3 (a block edge), 2.5 and
+#: 4.7, some of which fall inside unit-mass steps; its mass ratio stays
+#: below 2, so its limit maps are available
+PIECEWISE_FILE_FIELD = {
+    "dim": 2,
+    "breakpoints": [2.5, 4.7],
+    "linear": [
+        {"until": 1.3, "constant": [[1.0, 0.0], [0.0, 1.4]]},
+        {"until": None, "base": [[1.2, 0.1], [-0.1, 1.1]],
+         "sin": [[0.1, 0.0], [0.0, 0.05]], "frequency": 2.0},
+    ],
+    "quadratic": [
+        {"out_index": 0, "in_indices": [0, 1], "coeff_re": 0.2,
+         "coeff_im": 0.1,
+         "time_profile": {"kind": "trig", "offset": 0.5, "amplitude": 0.3,
+                          "frequency": 1.7, "phase": 0.2}},
+    ],
+}
 
 
 def unit_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:

@@ -9,9 +9,10 @@ from loewner_basin import fields as F
 from loewner_basin import schedule as S
 from loewner_basin.errors import (ChainUnavailableError,
                                   HorizonExhaustedError, InvalidInputError)
-from loewner_basin.linear import InverseTransitionProduct
+from loewner_basin.linear import InverseTransitionProduct, transition_matrix
 
-from conftest import CHAIN_FIELD_NAMES, CHAIN_TOL
+from conftest import (CHAIN_FIELD_NAMES, CHAIN_TOL, PIECEWISE_FILE_FIELD,
+                      TRIG_FILE_FIELD)
 
 
 def test_koebe_family_solves_transport_equation_symbolically():
@@ -230,3 +231,49 @@ def test_batched_rows_match_lone_evaluation(chain_for):
                 assert (cv.m_used, cv.last_increment, cv.converged,
                         cv.history) == (want.m_used, want.last_increment,
                                         want.converged, want.history)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: F.builtin_field("constant-linear", {"dim": 8}),
+    lambda: F.parse_field_config(TRIG_FILE_FIELD),
+    lambda: F.parse_field_config(PIECEWISE_FILE_FIELD),
+], ids=["constant-q8", "trig-file", "piecewise-file"])
+def test_batched_factors_match_one_at_a_time(make):
+    field = make()
+    ev = CH.ChainEvaluator(field, S.build_schedule(field.linear, N=8),
+                           tol_ode=1e-10)
+    u = ev.schedule.u
+    inside = [m for m in range(8)
+              if any(u[m] < b < u[m + 1] for b in field.breakpoints)]
+    assert inside or not field.breakpoints  # some step crosses a breakpoint
+    for m in range(8):
+        lone = transition_matrix(field.linear, u[m], u[m + 1], tol=1e-10)
+        assert lone.shape == (field.dim, field.dim)
+        assert ev.step_factor(m).tobytes() == lone.tobytes(), m
+    # a scalar start with an array of ends gives the same stack
+    ends = np.array(u[1:4])
+    stack = transition_matrix(field.linear, u[0], ends, tol=1e-10)
+    assert stack.shape == (3, field.dim, field.dim)
+    for J, t in zip(stack, ends):
+        assert J.tobytes() == transition_matrix(field.linear, u[0], t,
+                                                tol=1e-10).tobytes()
+
+
+def test_one_transition_call_per_evaluator(monkeypatch):
+    # every consumer of the factors shares one block integration; a return
+    # to per-factor integrator calls fails here
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return transition_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(CH, "transition_matrix", counted)
+    field = F.builtin_field("quadratic-perturbation", {"dim": 2})
+    ev = CH.ChainEvaluator(field, S.build_schedule(field.linear, N=20))
+    ev.eval_many(0.3, np.array([[0.2, 0.1j], [0.0, 0.4]]))
+    ev.pde_residual(0.5, np.array([0.1, 0.2j]))
+    ev.range_sample(0.4, shells=1, directions=2)
+    assert len(calls) == 1
+    s, t = calls[0]
+    assert np.shape(s) == np.shape(t) == (20,)

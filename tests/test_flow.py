@@ -11,7 +11,8 @@ from loewner_basin.errors import (EscapeError, InvalidInputError,
                                   NumericalFailureError)
 from loewner_basin.linear import LinearPath
 
-from conftest import unit_directions
+from conftest import (PIECEWISE_FILE_FIELD, TRIG_FILE_FIELD,
+                      unit_directions)
 
 
 def _koebe_K(z):
@@ -171,6 +172,23 @@ def test_trace_endpoints_and_monotonicity(koebe):
     assert abs(states[-1][0] - end[0]) < 1e-12
 
 
+def test_trajectories_rows_match_lone_traces():
+    fld = F.parse_field_config(PIECEWISE_FILE_FIELD)  # crosses 1.3 and 2.5
+    pts = np.array([[0.5, 0.1j], [0.0, 0.0], [-0.3, 0.6]])
+    req = FL.FlowRequest(field=fld, s=0.5, t=2.7, points=pts)
+    res, paths = FL.trajectories(req)
+    ref = FL.evolve(req)
+    assert res.images.tobytes() == ref.images.tobytes()
+    assert {**vars(res), "images": 0} == {**vars(ref), "images": 0}
+    for z, w, (times, states) in zip(pts, res.images, paths):
+        lone = FL.trace(fld, 0.5, 2.7, z)
+        assert times == lone[0] and times[0] == 0.5 and times[-1] == 2.7
+        assert [x.tobytes() for x in states] == [x.tobytes()
+                                                 for x in lone[1]]
+        assert states[0].tobytes() == z.tobytes()
+        assert states[-1].tobytes() == w.tobytes()
+
+
 def test_outward_field_escape_detected():
     path = LinearPath.constant(-np.eye(1, dtype=complex))
     bad = F.FieldSpec(dim=1, linear=path, remainder=F._zero_remainder,
@@ -203,24 +221,6 @@ def test_request_copies_callers_points(koebe):
 
 # ---------------------------------------------------------------------------
 # row blocks: every row steps as it would alone
-
-#: q = 2 field with a trig block until 1.5, then a constant block, and one
-#: quadratic record with a trig time profile
-TRIG_FILE_FIELD = {
-    "dim": 2,
-    "linear": [
-        {"until": 1.5, "base": [[1.0, 0.2], [-0.2, 1.3]],
-         "sin": [[0.1, [0.0, 0.05]], [0.0, -0.1]],
-         "cos": [[0.05, 0.0], [[0.0, 0.02], 0.08]], "frequency": 2.0},
-        {"until": None, "constant": [[1.2, 0.1], [-0.1, 1.0]]},
-    ],
-    "quadratic": [
-        {"out_index": 0, "in_indices": [0, 1], "coeff_re": 0.2,
-         "coeff_im": 0.1,
-         "time_profile": {"kind": "trig", "offset": 0.5, "amplitude": 0.3,
-                          "frequency": 1.7, "phase": 0.2}},
-    ],
-}
 
 
 def _outward_beyond(radius: float) -> F.FieldSpec:
@@ -291,6 +291,24 @@ def test_rows_step_as_they_would_alone(monkeypatch):
     for w, z in zip(W, pair):
         assert w.tobytes() == FL._evolve_one(koebe, 0.0, 1.0, z[None],
                                              1e-10)[0][0].tobytes()
+
+    # each row may have its own span: rows that cross different
+    # breakpoints, or none, or have zero length still step as alone
+    for cfg in (TRIG_FILE_FIELD, PIECEWISE_FILE_FIELD):
+        fld = F.parse_field_config(cfg)
+        spans = np.array([(0.5, 2.6), (1.0, 1.3), (1.5, 4.9), (0.2, 1.7),
+                          (2.0, 2.0), (2.4, 2.6), (0.0, 6.0)])
+        pts = 0.8 * unit_directions(2, len(spans), seed=7)
+        alone = [FL._evolve_one(fld, s, t, z[None], 1e-10)
+                 for (s, t), z in zip(spans, pts)]
+        for order in (range(len(spans)), (4, 6, 1, 0, 5, 3, 2)):
+            order = list(order)
+            W, stats = FL._evolve_one(fld, spans[order, 0], spans[order, 1],
+                                      pts[order], 1e-10)
+            for w, k in zip(W, order):
+                assert w.tobytes() == alone[k][0][0].tobytes(), (cfg, k)
+            assert stats.rhs_evaluations == sum(a[1].rhs_evaluations
+                                                for a in alone)
 
     # zero rows give an empty image block
     qp2 = cases[1][0]

@@ -77,7 +77,7 @@ def test_escape_guard_reports_crossing_time():
 def test_on_step_times_increase_strictly():
     seen = []
     integrate_adaptive(_decay, 0.0, 2.0, np.array([0.3 + 0j]), 1e-8,
-                       on_step=lambda tau, y: seen.append(tau))
+                       on_step=lambda rows, tau, y: seen.extend(tau))
     assert seen and seen[-1] == 2.0
     assert all(b > a for a, b in zip(seen, seen[1:]))
 
@@ -130,3 +130,105 @@ def test_step_budget_raises_numerical_failure(monkeypatch):
     with pytest.raises(NumericalFailureError) as exc:
         integrate_adaptive(_decay, 0.0, 50.0, y0, 1e-10)
     assert exc.value.iterations == spent - 1
+
+
+# ---------------------------------------------------------------------------
+# per-row spans
+
+
+def _jumpy(tau, y):
+    # row-wise rate that jumps at the breakpoints 1.0 and 2.5
+    rate = (1.0 + (tau > 1.0) + 2.0 * (tau > 2.5)) * (1.0 + 0.3 * np.sin(tau))
+    return -rate[:, None] * y
+
+
+_KNOTS = (2.5, 1.0, 7.0)
+#: spans crossing no breakpoint, one, or both; one ends on a breakpoint,
+#: one starts on one, and one has zero length
+_SPANS = [(0.0, 3.0), (0.5, 1.0), (1.2, 2.8), (2.0, 2.0), (0.9, 1.1),
+          (0.0, 0.4), (2.5, 4.0)]
+
+
+def test_rows_with_own_spans_step_as_they_would_alone():
+    y0 = np.array([[0.6 + 0.1j, -0.2j], [0.3, 0.4], [0.05j, 0.7],
+                   [0.2, 0.2], [-0.5, 0.1], [0.9, 0.0], [0.1, 0.1j]])
+    alone = [integrate_adaptive(_jumpy, s, t, y[None], 1e-10,
+                                breakpoints=_KNOTS)
+             for (s, t), y in zip(_SPANS, y0)]
+    assert alone[3][0][0].tobytes() == y0[3].tobytes()  # zero span: as is
+    assert alone[3][1].rhs_evaluations == 0
+    for order in (range(7), (3, 6, 0, 5, 1, 4, 2), (6, 5, 4, 3, 2, 1, 0)):
+        order = list(order)
+        s, t = np.array(_SPANS)[order].T
+        y, stats = integrate_adaptive(_jumpy, s, t, y0[order], 1e-10,
+                                      breakpoints=_KNOTS)
+        for row, k in zip(y, order):
+            assert row.tobytes() == alone[k][0][0].tobytes(), (order, k)
+        assert (stats.steps_taken, stats.steps_rejected,
+                stats.rhs_evaluations, stats.max_local_error) == (
+            sum(a[1].steps_taken for a in alone),
+            sum(a[1].steps_rejected for a in alone),
+            sum(a[1].rhs_evaluations for a in alone),
+            max(a[1].max_local_error for a in alone))
+    # a scalar end shared by rows with their own starts
+    y, _ = integrate_adaptive(_jumpy, np.array([0.0, 1.2]), 2.8, y0[:2],
+                              1e-10, breakpoints=_KNOTS)
+    assert y[1].tobytes() == integrate_adaptive(
+        _jumpy, 1.2, 2.8, y0[1:2], 1e-10, breakpoints=_KNOTS)[0][0].tobytes()
+
+
+def test_on_step_reports_each_rows_accepted_steps():
+    y0 = np.array([[0.6 + 0j], [0.3j]])
+    spans = [(0.0, 3.0), (1.2, 2.8)]
+    seen = {0: [], 1: []}
+
+    def on_step(rows, taus, states):
+        assert states.shape == (len(rows), 1)
+        for i, tau, w in zip(rows.tolist(), taus.tolist(), states):
+            seen[i].append((tau, w.tobytes()))
+
+    s, t = np.array(spans).T
+    integrate_adaptive(_jumpy, s, t, y0, 1e-10, breakpoints=_KNOTS,
+                       on_step=on_step)
+    for i, (a, b) in enumerate(spans):
+        lone = []
+        integrate_adaptive(_jumpy, a, b, y0[i:i + 1], 1e-10,
+                           breakpoints=_KNOTS,
+                           on_step=lambda rows, taus, states: lone.append(
+                               (float(taus[0]), states[0].tobytes())))
+        assert seen[i] == lone and lone[-1][0] == b
+
+
+def test_step_budget_error_names_the_rows_own_span(monkeypatch):
+    y0 = np.array([[0.3 + 0j], [0.5 + 0j]])
+    spans = [(0.0, 5.0), (2.0, 52.0)]
+
+    def tries(k):
+        _, stats = integrate_adaptive(_decay, *spans[k], y0[k:k + 1], 1e-10)
+        return stats.steps_taken + stats.steps_rejected
+
+    spent = [tries(0), tries(1)]
+    assert spent[0] < spent[1] - 1  # only the long row runs out
+    monkeypatch.setattr(_integrate, "_MAX_STEPS", spent[1] - 1)
+    with pytest.raises(NumericalFailureError) as lone:
+        integrate_adaptive(_decay, *spans[1], y0[1:], 1e-10)
+    s, t = np.array(spans).T
+    with pytest.raises(NumericalFailureError) as block:
+        integrate_adaptive(_decay, s, t, y0, 1e-10)
+    assert "on [2.0, 52.0]" in str(block.value)
+    assert (str(block.value), block.value.iterations) == (
+        str(lone.value), lone.value.iterations)
+
+
+@pytest.mark.parametrize("s, t", [
+    (np.zeros(2), 1.0),                   # one start too few
+    (0.0, np.ones(4)),                    # one end too many
+    (np.zeros((3, 1)), 1.0),              # not 1-D
+    (np.array([0.0, 2.0, 0.0]), 1.0),     # t_1 < s_1
+    (0.0, np.array([1.0, np.nan, 1.0])),  # not finite
+    (np.array([-np.inf, 0.0, 0.0]), 1.0),
+    (0.0, np.inf),
+])
+def test_spans_admission(s, t):
+    with pytest.raises(InvalidInputError):
+        integrate_adaptive(_decay, s, t, np.full((3, 1), 0.1 + 0j), 1e-10)
