@@ -1,18 +1,18 @@
 """Command line interface.
 
-Subcommands
------------
-analyze   sample the admissibility checks and classify the linear part
-flow      evolve states across a time interval (optionally dense CSV)
-schedule  build the unit-mass discretization and contraction budget
-chain     evaluate the normalized limit maps at given states
-verify    run the full consistency battery on one field
-range     sample the image of a limit map with inclusion spot checks
+Each command is declared once, in ``_COMMANDS``: its help text and its
+own options.  The options several commands share (``--t``, ``--points``,
+``--radii``, ``--directions``, ``--ell``, ``--dense``) are declared once
+in ``_SHARED``; a command sets only its own default or ``required``.
+``loewner-basin <command> --help`` lists a command's options.
 
 Every command reads a field either from ``--field file.json`` (strict
 schema, see ``loewner_basin.fields.parse_field_config``) or from
 ``--builtin name`` with repeatable ``--param key=value`` options
-(values parsed as JSON when possible).
+(values parsed as JSON when possible), and takes the run options
+``--tol-ode``, ``--tol-quad``, ``--tol-chain``, ``--horizon``,
+``--seed`` and ``--out``.  The handler ``_cmd_<command>`` returns
+``(result, exit code, files)``.
 
 Output is a single JSON document on stdout, or files under ``--out
 DIR`` (the JSON, any dense CSVs, and a manifest.json with content
@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
-import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -82,6 +83,70 @@ _EXIT_CODES = {
     StiffnessError: _EXIT_NUMERICAL,
 }
 
+#: payload status of each exit code; every other code is "rejected"
+_STATUS = {_EXIT_OK: "ok", _EXIT_NUMERICAL: "failed"}
+
+#: options several commands share, as argparse keywords
+_SHARED = {
+    "--t": dict(type=float, help="map time, or a flow's end time"),
+    "--points": dict(help="JSON list of states (entries are reals or "
+                          "[re, im] pairs); default: --radii shells"),
+    "--radii": dict(default="0.2,0.5,0.8",
+                    help="sample shells when --points is omitted"),
+    "--directions": dict(type=int, help="sample directions per shell"),
+    "--ell": dict(type=float, default=None,
+                  help="mass ratio bound sup k/m (measured when omitted)"),
+    "--dense": dict(action="store_true",
+                    help="also write trajectories.csv (flow) or chain.csv "
+                         "(chain); needs --out"),
+}
+
+#: each command's help and its own options: a shared option by name with
+#: this command's default or ``required``, or a new one in full
+_COMMANDS = {
+    "analyze": ("admissibility and hypothesis report", {
+        "--times": dict(default="0,0.5,1,2,4",
+                        help="comma-separated sample times"),
+        "--t-grid": dict(default="0:10:1001",
+                         help="hypothesis grid start:stop:count"),
+        "--directions": dict(default=4096),
+    }),
+    "flow": ("evolve states over [s, t]", {
+        "--s": dict(type=float, default=0.0, help="start time"),
+        "--t": dict(required=True),
+        "--points": {},
+        "--radii": {},
+        "--directions": dict(default=8),
+        "--dense": {},
+    }),
+    "schedule": ("unit-mass discretization", {
+        "--ell": {},
+    }),
+    "chain": ("evaluate limit maps", {
+        "--t": dict(default=0.0),
+        "--points": {},
+        "--radii": {},
+        "--directions": dict(default=4),
+        "--ell": {},
+        "--dense": {},
+    }),
+    "verify": ("full consistency battery", {
+        "--intervals": dict(default="0:1,1:2,0:4",
+                            help="comma-separated a:b decay-check "
+                                 "intervals"),
+        "--radii": {},
+        "--directions": dict(default=8),
+        "--ell": {},
+    }),
+    "range": ("sample the image of a limit map", {
+        "--t": dict(default=1.0),
+        "--radius": dict(type=float, default=0.5,
+                         help="largest sampled state modulus"),
+        "--directions": dict(default=8),
+        "--ell": {},
+    }),
+}
+
 
 class _CliUsageError(Exception):
     pass
@@ -94,6 +159,7 @@ class _Parser(argparse.ArgumentParser):
         raise _CliUsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="loewner-basin",
                 description="contracting evolutions, discretization "
@@ -101,8 +167,8 @@ def _build_parser() -> _Parser:
                             "ball")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for command, (help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--field", help="path to a field JSON file")
         src.add_argument("--builtin", help="built-in family name")
@@ -122,59 +188,8 @@ def _build_parser() -> _Parser:
                         help="seed for deterministic sampling")
         sp.add_argument("--out", help="directory for output files "
                                       "(default: JSON to stdout)")
-
-    sp = sub.add_parser("analyze", help="admissibility and hypothesis report")
-    add_common(sp)
-    sp.add_argument("--times", default="0,0.5,1,2,4",
-                    help="comma-separated sample times")
-    sp.add_argument("--t-grid", default="0:10:1001", dest="t_grid",
-                    help="hypothesis grid start:stop:count")
-    sp.add_argument("--directions", type=int, default=4096,
-                    help="sample directions per radius shell")
-
-    sp = sub.add_parser("flow", help="evolve states over [s, t]")
-    add_common(sp)
-    sp.add_argument("--s", type=float, default=0.0, help="start time")
-    sp.add_argument("--t", type=float, required=True, help="end time")
-    sp.add_argument("--points", help="JSON list of states (entries are "
-                                     "reals or [re, im] pairs)")
-    sp.add_argument("--radii", default="0.2,0.5,0.8",
-                    help="default sample shells when --points is omitted")
-    sp.add_argument("--directions", type=int, default=8,
-                    help="default directions per shell")
-    sp.add_argument("--dense", action="store_true",
-                    help="also write per-step trajectories CSV (needs --out)")
-
-    sp = sub.add_parser("schedule", help="unit-mass discretization")
-    add_common(sp)
-    sp.add_argument("--ell", type=float, default=None,
-                    help="mass ratio bound sup k/m (measured when omitted)")
-
-    sp = sub.add_parser("chain", help="evaluate limit maps")
-    add_common(sp)
-    sp.add_argument("--t", type=float, default=0.0, help="map time")
-    sp.add_argument("--points", help="JSON list of states")
-    sp.add_argument("--radii", default="0.2,0.5,0.8")
-    sp.add_argument("--directions", type=int, default=4)
-    sp.add_argument("--ell", type=float, default=None)
-    sp.add_argument("--dense", action="store_true",
-                    help="also write per-state chain CSV (needs --out)")
-
-    sp = sub.add_parser("verify", help="full consistency battery")
-    add_common(sp)
-    sp.add_argument("--intervals", default="0:1,1:2,0:4",
-                    help="comma-separated a:b decay-check intervals")
-    sp.add_argument("--radii", default="0.2,0.5,0.8")
-    sp.add_argument("--directions", type=int, default=8)
-    sp.add_argument("--ell", type=float, default=None)
-
-    sp = sub.add_parser("range", help="sample the image of a limit map")
-    add_common(sp)
-    sp.add_argument("--t", type=float, default=1.0, help="map time")
-    sp.add_argument("--radius", type=float, default=0.5,
-                    help="largest sampled state modulus")
-    sp.add_argument("--directions", type=int, default=8)
-    sp.add_argument("--ell", type=float, default=None)
+        for flag, kw in options.items():
+            sp.add_argument(flag, **{**_SHARED.get(flag, {}), **kw})
     return p
 
 
@@ -257,46 +272,49 @@ def _parse_intervals(text) -> list[tuple[float, float]]:
     return out
 
 
-def _parse_points(text, dim) -> np.ndarray:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"--points is not valid JSON: {exc}") from None
-    return complex_rows(data, dim, "--points")
-
-
-def _default_points(args, dim) -> np.ndarray:
-    radii = _parse_floats(args.radii, "--radii")
-    plan = SamplePlan(radii=tuple(radii), directions=args.directions,
-                      times=(0.0,), seed=args.seed)
+def _points(args, dim) -> np.ndarray:
+    """The states of ``--points``, else the ``--radii`` shells."""
+    if getattr(args, "points", None):
+        try:
+            data = json.loads(args.points)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(
+                f"--points is not valid JSON: {exc}") from None
+        return complex_rows(data, dim, "--points")
+    plan = SamplePlan(radii=tuple(_parse_floats(args.radii, "--radii")),
+                      directions=args.directions, times=(0.0,),
+                      seed=args.seed)
     return plan.states(dim)
 
 
-def _points_for(args, dim) -> np.ndarray:
-    if getattr(args, "points", None):
-        return _parse_points(args.points, dim)
-    return _default_points(args, dim)
-
-
 # ---------------------------------------------------------------------------
-# JSON helpers
-
-
-def _c2j(x) -> list:
-    return [float(np.real(x)), float(np.imag(x))]
+# JSON and CSV helpers
 
 
 def _vec2j(v) -> list:
-    return [_c2j(x) for x in np.asarray(v).reshape(-1)]
+    return [[float(x.real), float(x.imag)] for x in np.asarray(v).reshape(-1)]
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+def _complex_head(tag: str, q: int) -> list:
+    return ([f"re_{tag}{i + 1}" for i in range(q)]
+            + [f"im_{tag}{i + 1}" for i in range(q)])
+
+
+def _complex_cells(v) -> list:
+    """A complex vector as CSV cells: every real part, then every imaginary
+    part, each at full precision."""
+    return [f"{x:.17g}" for x in (*v.real, *v.imag)]
+
+
+def _csv(head, rows) -> str:
+    return "".join(",".join(row) + "\n" for row in (head, *rows))
 
 
 def _digest(obj) -> str:
-    return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()
+    """sha256 of the canonical (sorted, compact, finite) JSON of ``obj``."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _make_manifest(args, descriptor) -> dict:
@@ -308,10 +326,9 @@ def _make_manifest(args, descriptor) -> dict:
         "horizon": args.horizon,
         "seed": args.seed,
     }
-    for extra in ("s", "t", "points", "radii", "directions", "times",
-                  "t_grid", "intervals", "ell", "radius", "dense"):
-        if hasattr(args, extra):
-            config[extra] = getattr(args, extra)
+    for flag in _COMMANDS[args.command][1]:
+        name = flag[2:].replace("-", "_")
+        config[name] = getattr(args, name)
     return {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": _digest(config),
@@ -331,7 +348,7 @@ def _schedule(args, field: FieldSpec, *, strict: bool = True):
                           strict=strict)
 
 
-def _cmd_analyze(args, field: FieldSpec) -> tuple[dict, int]:
+def _cmd_analyze(args, field: FieldSpec) -> tuple[dict, int, dict]:
     times = tuple(_parse_floats(args.times, "--times"))
     plan = SamplePlan(directions=args.directions, times=times, seed=args.seed)
     grid = _parse_grid(args.t_grid)
@@ -354,11 +371,11 @@ def _cmd_analyze(args, field: FieldSpec) -> tuple[dict, int]:
     }
     failed = (not class_n.passed or not sandwich.passed or not growth.passed
               or hypotheses.verdicts["general_bunching"] == VERDICT_VIOLATED)
-    return result, (_EXIT_REJECTED if failed else _EXIT_OK)
+    return result, (_EXIT_REJECTED if failed else _EXIT_OK), {}
 
 
 def _cmd_flow(args, field: FieldSpec) -> tuple[dict, int, dict]:
-    pts = _points_for(args, field.dim)
+    pts = _points(args, field.dim)
     req = FlowRequest(field=field, s=args.s, t=args.t, points=pts,
                       tol=args.tol_ode)
     res, paths = trajectories(req) if args.dense else (evolve(req), None)
@@ -373,28 +390,16 @@ def _cmd_flow(args, field: FieldSpec) -> tuple[dict, int, dict]:
     }
     files = {}
     if paths is not None:
-        files["trajectories.csv"] = _trajectories_csv(field.dim, paths)
+        files["trajectories.csv"] = _csv(
+            ["t", "point_index", *_complex_head("", field.dim), "abs"],
+            ([f"{tau:.17g}", str(idx), *_complex_cells(state),
+              f"{float(np.linalg.norm(state)):.17g}"]
+             for idx, (times, states) in enumerate(paths)
+             for tau, state in zip(times, states)))
     return result, _EXIT_OK, files
 
 
-def _trajectories_csv(q: int, paths) -> str:
-    buf = io.StringIO()
-    head = ["t", "point_index"]
-    head += [f"re_{i + 1}" for i in range(q)]
-    head += [f"im_{i + 1}" for i in range(q)]
-    head.append("abs")
-    buf.write(",".join(head) + "\n")
-    for idx, (times, states) in enumerate(paths):
-        for tau, state in zip(times, states):
-            row = [f"{tau:.17g}", str(idx)]
-            row += [f"{state[i].real:.17g}" for i in range(q)]
-            row += [f"{state[i].imag:.17g}" for i in range(q)]
-            row.append(f"{float(np.linalg.norm(state)):.17g}")
-            buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-
-
-def _cmd_schedule(args, field: FieldSpec) -> tuple[dict, int]:
+def _cmd_schedule(args, field: FieldSpec) -> tuple[dict, int, dict]:
     try:
         sched = _schedule(args, field)
     except ScheduleRejectedError as exc:
@@ -402,12 +407,12 @@ def _cmd_schedule(args, field: FieldSpec) -> tuple[dict, int]:
                  "ell_source": exc.schedule.ell_source,
                  "chain_available": False,
                  "failing_step": exc.failing_n,
-                 "reason": str(exc)}, _EXIT_REJECTED)
+                 "reason": str(exc)}, _EXIT_REJECTED, {})
     # Limit-map construction needs degree-1 jet normalisation, which exists
     # only for h == 2; larger mass ratios get a budget but no chain.
     return {"schedule": sched.to_json_dict(),
             "ell_source": sched.ell_source,
-            "chain_available": sched.h == 2}, _EXIT_OK
+            "chain_available": sched.h == 2}, _EXIT_OK, {}
 
 
 def _chain_evaluator(args, field: FieldSpec) -> ChainEvaluator:
@@ -416,7 +421,7 @@ def _chain_evaluator(args, field: FieldSpec) -> ChainEvaluator:
 
 
 def _cmd_chain(args, field: FieldSpec) -> tuple[dict, int, dict]:
-    pts = _points_for(args, field.dim)
+    pts = _points(args, field.dim)
     ev = _chain_evaluator(args, field)
     values = ev.eval_many(args.t, pts)
     result = {
@@ -431,34 +436,20 @@ def _cmd_chain(args, field: FieldSpec) -> tuple[dict, int, dict]:
     }
     files = {}
     if args.dense:
-        files["chain.csv"] = _chain_csv(args.t, field.dim, pts, values)
+        q = field.dim
+        files["chain.csv"] = _csv(
+            ["t", *_complex_head("z_", q), *_complex_head("f_", q),
+             "m_used", "converged"],
+            ([f"{args.t:.17g}", *_complex_cells(z), *_complex_cells(cv.value),
+              str(cv.m_used), "1" if cv.converged else "0"]
+             for z, cv in zip(pts, values)))
     code = _EXIT_OK if all(cv.converged for cv in values) else _EXIT_REJECTED
     return result, code, files
 
 
-def _chain_csv(t, q, pts, values) -> str:
-    buf = io.StringIO()
-    head = ["t"]
-    head += [f"re_z_{i + 1}" for i in range(q)]
-    head += [f"im_z_{i + 1}" for i in range(q)]
-    head += [f"re_f_{i + 1}" for i in range(q)]
-    head += [f"im_f_{i + 1}" for i in range(q)]
-    head += ["m_used", "converged"]
-    buf.write(",".join(head) + "\n")
-    for z, cv in zip(pts, values):
-        row = [f"{t:.17g}"]
-        row += [f"{z[i].real:.17g}" for i in range(q)]
-        row += [f"{z[i].imag:.17g}" for i in range(q)]
-        row += [f"{cv.value[i].real:.17g}" for i in range(q)]
-        row += [f"{cv.value[i].imag:.17g}" for i in range(q)]
-        row += [str(cv.m_used), "1" if cv.converged else "0"]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-
-
-def _cmd_verify(args, field: FieldSpec) -> tuple[dict, int]:
+def _cmd_verify(args, field: FieldSpec) -> tuple[dict, int, dict]:
     intervals = _parse_intervals(args.intervals)
-    pts = _default_points(args, field.dim)
+    pts = _points(args, field.dim)
     checks = {}
 
     plan = SamplePlan(directions=256, seed=args.seed)
@@ -513,10 +504,10 @@ def _cmd_verify(args, field: FieldSpec) -> tuple[dict, int]:
 
     all_passed = all(c["passed"] for c in checks.values())
     return ({"checks": checks, "all_passed": all_passed},
-            _EXIT_OK if all_passed else _EXIT_REJECTED)
+            _EXIT_OK if all_passed else _EXIT_REJECTED, {})
 
 
-def _cmd_range(args, field: FieldSpec) -> tuple[dict, int]:
+def _cmd_range(args, field: FieldSpec) -> tuple[dict, int, dict]:
     ev = _chain_evaluator(args, field)
     rs = ev.range_sample(args.t, radius=args.radius,
                          directions=args.directions, seed=args.seed)
@@ -529,46 +520,63 @@ def _cmd_range(args, field: FieldSpec) -> tuple[dict, int]:
         "max_inclusion_residual": rs.max_inclusion_residual(),
         "converged": rs.converged,
     }
-    return result, _EXIT_OK if rs.converged else _EXIT_REJECTED
+    return result, (_EXIT_OK if rs.converged else _EXIT_REJECTED), {}
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(directory: str, name: str, text: str) -> str:
+    """Write one artifact; returns its sha256."""
+    with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _emit(payload: dict, args, files: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _dumps(payload)
     if args.out is None:
         sys.stdout.write(text)
         if files:
             sys.stderr.write("note: --dense output needs --out DIR; "
                              "CSV not written\n")
         return
-    import os
     os.makedirs(args.out, exist_ok=True)
-    written = {}
-    name = f"{args.command}.json"
-    with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    written[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    for fname, content in files.items():
-        with open(os.path.join(args.out, fname), "w", encoding="utf-8") as fh:
-            fh.write(content)
-        written[fname] = hashlib.sha256(content.encode("utf-8")).hexdigest()
-    manifest = {"schema_version": SCHEMA_VERSION,
-                "config_sha256": payload.get("manifest", {}).get(
-                    "config_sha256", ""),
-                "files": written}
-    mtext = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    with open(os.path.join(args.out, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(mtext)
+    written = {name: _write(args.out, name, body) for name, body in
+               {f"{args.command}.json": text, **files}.items()}
+    _write(args.out, "manifest.json", _dumps(
+        {"schema_version": SCHEMA_VERSION,
+         "config_sha256": payload["manifest"].get("config_sha256", ""),
+         "files": written}))
+
+
+def _payload(args, code: int, manifest: dict, **body) -> dict:
+    """The one payload shape: ``result`` on success and on a verdict that
+    refuses, ``error`` when a typed error ended the run."""
+    return {"schema_version": SCHEMA_VERSION, "command": args.command,
+            "status": _STATUS.get(code, "rejected"), "manifest": manifest,
+            **body}
+
+
+def _error_json(exc: Exception) -> dict:
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, FieldRejectedError):
+        error["type"] = "field-rejected"
+        error["witnesses"] = [{"z": _vec2j(w[0]), "t": w[1], "value": w[2]}
+                              for w in exc.witnesses[:8]]
+    if isinstance(exc, ScheduleRejectedError) and exc.schedule is not None:
+        error["schedule"] = exc.schedule.to_json_dict()
+    return error
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _CliUsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_USAGE
@@ -577,53 +585,21 @@ def main(argv=None) -> int:
     try:
         _check_run_config(args)
         field, descriptor = _load_field(args)
-        if args.command == "analyze":
-            result, code = _cmd_analyze(args, field)
-        elif args.command == "flow":
-            result, code, files = _cmd_flow(args, field)
-        elif args.command == "schedule":
-            result, code = _cmd_schedule(args, field)
-        elif args.command == "chain":
-            result, code, files = _cmd_chain(args, field)
-        elif args.command == "verify":
-            result, code = _cmd_verify(args, field)
-        else:
-            result, code = _cmd_range(args, field)
-        status = "ok" if code == _EXIT_OK else "rejected"
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "status": status,
-            "manifest": _make_manifest(args, descriptor),
-            "result": result,
-        }
+        handler = globals()[f"_cmd_{args.command}"]
+        result, code, files = handler(args, field)
+        payload = _payload(args, code, _make_manifest(args, descriptor),
+                           result=result)
     except tuple(_EXIT_CODES) as exc:
         code = next(c for kind, c in _EXIT_CODES.items()
                     if isinstance(exc, kind))
         if code == _EXIT_USAGE:
             sys.stderr.write(f"error: {exc}\n")
             return code
-        payload = _error_payload(args, exc, code)
+        payload = _payload(args, code, {"schema_version": SCHEMA_VERSION},
+                           error=_error_json(exc))
 
     _emit(payload, args, files)
     return code
-
-
-def _error_payload(args, exc: Exception, code: int) -> dict:
-    error = {"type": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, FieldRejectedError):
-        error["type"] = "field-rejected"
-        error["witnesses"] = [{"z": _vec2j(w[0]), "t": w[1], "value": w[2]}
-                              for w in exc.witnesses[:8]]
-    if isinstance(exc, ScheduleRejectedError) and exc.schedule is not None:
-        error["schedule"] = exc.schedule.to_json_dict()
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "status": "failed" if code == _EXIT_NUMERICAL else "rejected",
-        "manifest": {"schema_version": SCHEMA_VERSION},
-        "error": error,
-    }
 
 
 if __name__ == "__main__":

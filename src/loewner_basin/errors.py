@@ -74,9 +74,10 @@ class HorizonExhaustedError(LoewnerError):
 class ScheduleRejectedError(LoewnerError):
     """The derived parameters failed the contraction ordering mu**h < nu.
 
-    ``failing_n`` is the first interval index where the per-step lower
-    factor breaks the inequality; ``schedule`` holds the full rejected
-    parameter set for reporting.
+    ``failing_n`` is the worst step, the index n of the smallest
+    per-step lower factor nu_n (the ``schedule`` command prints it as
+    ``failing_step``); ``schedule`` holds the full rejected parameter
+    set for reporting.
     """
 
     def __init__(self, message: str, failing_n: int | None = None,

@@ -36,7 +36,7 @@ import numpy as np
 
 from ._integrate import check_tol
 from .errors import (HorizonExhaustedError, InvalidInputError,
-                     ScheduleRejectedError)
+                     NumericalFailureError, ScheduleRejectedError)
 from .fields import C_of, SamplePlan, c_of, check_real
 from .linear import LinearPath, ell_estimate
 
@@ -110,7 +110,8 @@ def compute_times(path: LinearPath, N: int, tol: float = 1e-10,
     bracket collapses to relative width 1e-15.  Each query integrates
     from the bracket's lower end, whose residual M - n is carried.
     Raises HorizonExhaustedError when the mass M cannot reach N before
-    ``max_time`` (the field stops contracting too early).
+    ``max_time`` (the field stops contracting too early), and
+    NumericalFailureError when 200 iterations leave a time unconverged.
     """
     if N < 1:
         raise InvalidInputError(f"horizon N must be >= 1, got {N}")
@@ -153,6 +154,12 @@ def compute_times(path: LinearPath, N: int, tol: float = 1e-10,
             if not (lo + 0.01 * width <= u <= hi - 0.01 * width):
                 u = 0.5 * (lo + hi)
             f_u = flo + path.masses(lo, u)[0]
+        else:
+            if abs(f_u) > tol:
+                raise NumericalFailureError(
+                    f"unit-mass time u_{n} not found in {_MAX_ROOT_ITERS} "
+                    f"iterations: |M(u) - {n}| = {abs(f_u):.3g} > {tol:g}",
+                    iterations=_MAX_ROOT_ITERS)
         us.append(float(u))
     return tuple(us)
 

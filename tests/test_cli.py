@@ -1,5 +1,7 @@
 """Command line front end: subcommands, exit codes, schemas, artifacts."""
 
+import argparse
+import csv
 import hashlib
 import json
 
@@ -22,6 +24,115 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+# ---------------------------------------------------------------------------
+# the option contract
+
+#: options every command takes: flag -> (default, required, type)
+RUN_OPTIONS = {
+    "--field": (None, False, None),
+    "--builtin": (None, False, None),
+    "--param": ([], False, None),
+    "--tol-ode": (1e-10, False, float),
+    "--tol-quad": (1e-10, False, float),
+    "--tol-chain": (1e-9, False, float),
+    "--horizon": (30, False, int),
+    "--seed": (0, False, int),
+    "--out": (None, False, None),
+}
+RADII = ("0.2,0.5,0.8", False, None)
+ELL = (None, False, float)
+DENSE = (False, False, None)
+#: each command's own options
+COMMAND_OPTIONS = {
+    "analyze": {"--times": ("0,0.5,1,2,4", False, None),
+                "--t-grid": ("0:10:1001", False, None),
+                "--directions": (4096, False, int)},
+    "flow": {"--s": (0.0, False, float), "--t": (None, True, float),
+             "--points": (None, False, None), "--radii": RADII,
+             "--directions": (8, False, int), "--dense": DENSE},
+    "schedule": {"--ell": ELL},
+    "chain": {"--t": (0.0, False, float), "--points": (None, False, None),
+              "--radii": RADII, "--directions": (4, False, int),
+              "--ell": ELL, "--dense": DENSE},
+    "verify": {"--intervals": ("0:1,1:2,0:4", False, None), "--radii": RADII,
+               "--directions": (8, False, int), "--ell": ELL},
+    "range": {"--t": (1.0, False, float), "--radius": (0.5, False, float),
+              "--directions": (8, False, int), "--ell": ELL},
+}
+
+
+def test_each_command_accepts_exactly_its_options():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMAND_OPTIONS)
+    for command, own in COMMAND_OPTIONS.items():
+        accepted = {a.option_strings[0]: (a.default, a.required, a.type)
+                    for a in sub.choices[command]._actions
+                    if a.dest != "help"}
+        assert accepted == {**RUN_OPTIONS, **own}, command
+
+
+def test_successive_calls_share_no_parser_state(capsys, monkeypatch):
+    seen = []
+    schedule = cli._cmd_schedule
+
+    def spy(args, field):
+        seen.append(dict(vars(args)))
+        return schedule(args, field)
+
+    monkeypatch.setattr(cli, "_cmd_schedule", spy)
+    argv = ("schedule", "--builtin", "koebe-1d")
+    code, alone, _ = run(capsys, *argv)
+    assert code == 0
+    code, _, err = run(capsys, "chain", "--builtin", "constant-linear",
+                       "--param", "dim=2", "--dense", "--points",
+                       "[[0.2,0.1]]", "--horizon", "12")
+    assert code == 0 and "CSV not written" in err
+    code, after, _ = run(capsys, *argv)
+    assert code == 0 and after == alone
+    assert seen[0] == seen[1]
+    assert seen[1]["param"] == [] and "dense" not in seen[1]
+
+
+def test_dense_csv_rows_parse_back_to_json(capsys, tmp_path):
+    def cells(row, tag, q):
+        return [[float(row[f"re_{tag}{i + 1}"]), float(row[f"im_{tag}{i + 1}"])]
+                for i in range(q)]
+
+    out = tmp_path / "flow"
+    code, _, _ = run(capsys, "flow", "--builtin", "diagonal-periodic",
+                     "--t", "1.5", "--points", "[[0.3,[0.1,0.2]],[0.6,-0.4]]",
+                     "--dense", "--out", str(out))
+    assert code == 0
+    images = json.loads((out / "flow.json").read_text())["result"]["images"]
+    with open(out / "trajectories.csv", newline="") as fh:
+        last = {int(row["point_index"]): row for row in csv.DictReader(fh)}
+    assert sorted(last) == [0, 1]
+    for idx, image in enumerate(images):
+        assert float(last[idx]["t"]) == 1.5
+        assert cells(last[idx], "", 2) == image
+        norm = np.linalg.norm([complex(*c) for c in image])
+        assert float(last[idx]["abs"]) == pytest.approx(norm, rel=1e-15)
+
+    out = tmp_path / "chain"
+    code, _, _ = run(capsys, "chain", "--builtin", "quadratic-perturbation",
+                     "--param", "dim=2", "--t", "0.3", "--points",
+                     "[[0.2,[0.1,-0.1]],[0.05,0.3]]", "--horizon", "20",
+                     "--dense", "--out", str(out))
+    assert code == 0
+    res = json.loads((out / "chain.json").read_text())["result"]
+    with open(out / "chain.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(res["values"]) == 2
+    for k, row in enumerate(rows):
+        assert float(row["t"]) == 0.3
+        assert cells(row, "z_", 2) == res["points"][k]
+        assert cells(row, "f_", 2) == res["values"][k]
+        assert int(row["m_used"]) == res["m_used"][k]
+        assert row["converged"] == ("1" if res["converged"][k] else "0")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from loewner_basin import fields as F
 from loewner_basin import schedule as S
 from loewner_basin.errors import (HorizonExhaustedError, InvalidInputError,
+                                  NumericalFailureError,
                                   ScheduleRejectedError)
 from loewner_basin.linear import LinearPath
 
@@ -126,6 +127,15 @@ def test_saturating_mass_exhausts_horizon():
     path = LinearPath.from_callable(1, sat, breakpoints=(1.0,))
     with pytest.raises(HorizonExhaustedError):
         S.compute_times(path, 3, max_time=1e4)
+
+
+def test_unconverged_time_is_refused(monkeypatch):
+    # One secant step leaves M(u_4) - 4 near 1.4e-2 on this path; the
+    # time must not be placed there.
+    monkeypatch.setattr(S, "_MAX_ROOT_ITERS", 1)
+    path = F.builtin_field("diagonal-periodic").linear
+    with pytest.raises(NumericalFailureError, match="u_4"):
+        S.compute_times(path, 4)
 
 
 def test_input_validation():
