@@ -5,14 +5,13 @@ admissible fields.  Three things make its output trustworthy: a closed
 form it must match on solvable cases, the two-parameter semigroup law
 phi_{u,t} o phi_{s,u} = phi_{s,t}, and two-sided modulus decay bounds
 driven only by the Hermitian bounds of the linear part.  This script
-exercises all three on the 1-d Koebe field and finishes with the
-order-2 jet of the flow at the origin.
+exercises all three on the 1-d Koebe field.
 """
 
 import numpy as np
 
 from loewner_basin import (FlowRequest, builtin_field, decay_bounds_check,
-                           evolve, jet2_transition, semigroup_defect, trace)
+                           evolve, semigroup_defect, trace)
 
 koebe = builtin_field("koebe-1d")
 
@@ -68,17 +67,3 @@ for tt, zz in list(zip(times, states))[::stride][:6]:
     print(f"    t = {tt:6.4f}   |z| = {abs(zz[0]):.6f}")
 print(f"    t = {times[-1]:6.4f}   |z| = {abs(states[-1][0]):.6f}")
 
-print()
-print("=" * 72)
-print("4. Order-2 jet of the flow at the origin")
-print("=" * 72)
-jet = jet2_transition(koebe, 0.0, 1.0, tol=1e-11)
-lin = jet.linear[0, 0]
-quad = jet.quadratic[0, 0, 0]
-print(f"  phi(z) = ({lin:.9f}) z + ({quad:.9f}) z^2 + O(z^3)")
-print(f"  linear factor vs e^-1:        {abs(lin - np.exp(-1.0)):.2e}")
-print(f"  quadratic vs 2 e^-1 (1 - e^-1): "
-      f"{abs(quad - 2 * np.exp(-1.0) * (1 - np.exp(-1.0))):.2e}")
-print("  The linear factor of the jet is exactly the transition matrix")
-print("  of the linear part; the quadratic term obeys its own variational")
-print("  equation and is what the limit-map normalization divides out.")

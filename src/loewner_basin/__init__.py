@@ -14,8 +14,7 @@ linear    matrix analysis: Hermitian bounds, spectra, mass integrals,
           hypothesis classification, transition matrices
 fields    admissible fields, built-in families, sampling checks,
           the JSON field-file format
-flow      the evolution operator, decay-bound verification, order-2
-          jets of the flow at the origin
+flow      the evolution operator and decay-bound verification
 schedule  unit-mass times and the mu/nu contraction budget
 chain     the normalized limit maps and their consistency checks
 cli       the ``loewner-basin`` command line tool
@@ -33,9 +32,8 @@ from .fields import (C_of, ClassNReport, FieldSpec, GrowthReport,
                      builtin_field, c_of, class_n_check, growth_check,
                      gurganus_check, load_field_file, parse_field_config,
                      remainder_order_check)
-from .flow import (DecayReport, FlowRequest, FlowResult, Jet2,
-                   decay_bounds_check, evolve, flow_point, jet2_transition,
-                   semigroup_defect, trace, trajectories)
+from .flow import (DecayReport, FlowRequest, FlowResult, decay_bounds_check,
+                   evolve, flow_point, semigroup_defect, trace, trajectories)
 from .linear import (GRID_MARGIN, MAX_DIM, HermitianBounds, HypothesisReport,
                      InverseTransitionProduct, LinearPath, Witness,
                      classify_hypotheses, ell_estimate, hermitian_bounds,
@@ -53,14 +51,14 @@ __all__ = [
     "FieldSpec", "FlowRequest", "FlowResult", "GRID_MARGIN", "GrowthReport",
     "GurganusReport", "HermitianBounds", "HorizonExhaustedError",
     "HypothesisReport", "HypothesisViolationError", "InvalidInputError",
-    "InverseTransitionProduct", "Jet2", "LinearPath", "LoewnerError",
+    "InverseTransitionProduct", "LinearPath", "LoewnerError",
     "MAX_DIM", "NumericalFailureError", "RangeSample", "SamplePlan",
     "Schedule", "ScheduleRejectedError", "StiffnessError",
     "UnknownFamilyError", "Witness", "build_schedule", "builtin_corpus",
     "builtin_field", "c_of", "class_n_check", "classify_hypotheses",
     "compute_times", "contraction_check", "decay_bounds_check",
     "ell_estimate", "evolve", "flow_point", "growth_check", "gurganus_check",
-    "hermitian_bounds", "jet2_transition", "load_field_file",
+    "hermitian_bounds", "load_field_file",
     "log_ratio_check", "operator_norm", "parse_field_config", "radius_for",
     "remainder_order_check", "semigroup_defect", "spectral_abscissa",
     "trace", "trajectories", "transition_matrix", "__version__",

@@ -1,4 +1,4 @@
-"""Embedded adaptive Runge-Kutta core shared by flow and jet transport.
+"""Embedded adaptive Runge-Kutta core of the flow and transition matrices.
 
 Implements the Dormand-Prince 4(5) pair with FSAL stage reuse and a PI
 (proportional-integral) step-size controller.  Acceptance uses local

@@ -148,15 +148,22 @@ _COMMANDS = {
 }
 
 
-class _CliUsageError(Exception):
-    pass
+class _ParserExit(Exception):
+    """argparse ended the run (usage error, --help or --version); args[0]
+    is the exit status."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of calling sys.exit(2)."""
+    """argparse that raises instead of calling sys.exit, so ``main``
+    returns the status: 0 after --help or --version, 1 on a usage error."""
 
     def error(self, message):
-        raise _CliUsageError(message)
+        self.exit(_EXIT_USAGE, f"error: {message}\n")
+
+    def exit(self, status=0, message=None):
+        if message:
+            sys.stderr.write(message)
+        raise _ParserExit(status)
 
 
 @functools.cache
@@ -274,7 +281,7 @@ def _parse_intervals(text) -> list[tuple[float, float]]:
 
 def _points(args, dim) -> np.ndarray:
     """The states of ``--points``, else the ``--radii`` shells."""
-    if getattr(args, "points", None):
+    if getattr(args, "points", None) is not None:
         try:
             data = json.loads(args.points)
         except json.JSONDecodeError as exc:
@@ -577,9 +584,8 @@ def _error_json(exc: Exception) -> dict:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except _CliUsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_USAGE
+    except _ParserExit as done:
+        return done.args[0]
 
     files: dict = {}
     try:

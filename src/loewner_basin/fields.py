@@ -7,8 +7,7 @@ this module provides:
 
 * ``FieldSpec``: dimension, validated linear part (a ``LinearPath``),
   a vectorized remainder callable with zero value and zero Jacobian at
-  the origin, optional exact quadratic coefficients at 0, declared
-  and time breakpoints;
+  the origin, and declared time breakpoints;
 * built-in families via ``builtin_field``: ``constant-linear``,
   ``diagonal-periodic``, ``koebe-1d`` (the one-dimensional field
   z (1 - z) / (1 + z) whose chain is the Koebe function), and
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,7 +45,6 @@ from .linear import (LinearPath, as_complex_array, check_dim, operator_norm,
 #: slack below which a sampled sandwich/growth inequality counts as violated
 INEQUALITY_SLACK = -1e-10
 
-_FD_STEP = 1e-5  # complex central-difference step for quadratic jets
 #: number types check_real accepts (bool, an int subclass, is refused)
 _REAL_TYPES = (int, float, np.integer, np.floating)
 #: most directions per shell a SamplePlan may draw
@@ -78,10 +76,15 @@ class SamplePlan:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.radii) == 0 or len(self.times) == 0:
+            raise InvalidInputError("a sample plan needs at least one radius "
+                                    "and one time")
         for r in self.radii:
-            if not 0.0 < r < 1.0:
+            if not 0.0 < check_real(r, "shell radius") < 1.0:
                 raise InvalidInputError(f"shell radius {r} outside (0, 1)")
-        if not 1 <= self.directions <= MAX_DIRECTIONS:
+        if (not isinstance(self.directions, (int, np.integer))
+                or isinstance(self.directions, bool)
+                or not 1 <= self.directions <= MAX_DIRECTIONS):
             raise InvalidInputError(f"directions must be in [1, "
                                     f"{MAX_DIRECTIONS}], got {self.directions}")
         if any(check_real(t, "sample time") < 0.0 for t in self.times):
@@ -115,10 +118,6 @@ class FieldSpec:
         h(z, t) - A(t) z; must vanish to second order at z = 0 and
         broadcast over leading axes of z with shape (..., q); t is one
         time, or an array of one time per row of an (n, q) block z.
-    quadratic : None, ndarray or callable(t) -> ndarray
-        Exact quadratic coefficients of h at 0 as a (q, q, q) tensor
-        symmetric in its last two indices; None means "extract by
-        central finite differences when needed".
     family_tag : str
         Name of the construction recipe ("custom" for file-loaded).
     breakpoints : tuple of float
@@ -128,7 +127,6 @@ class FieldSpec:
     dim: int
     linear: LinearPath
     remainder: Callable[[np.ndarray, float], np.ndarray]
-    quadratic: object = None
     family_tag: str = "custom"
     breakpoints: tuple = ()
     #: smoothness in t between breakpoints, assumed of every field
@@ -149,31 +147,6 @@ class FieldSpec:
         time or one time per row of an (n, q) block."""
         z = np.asarray(z, dtype=complex)
         return (self.linear.A(t) @ z[..., None])[..., 0] + self.remainder(z, t)
-
-    def quadratic_at(self, t: float) -> np.ndarray:
-        """Quadratic coefficient tensor H with h_i = (A z)_i +
-        sum_{j,k} H[i, j, k] z_j z_k + O(|z|^3), symmetric in (j, k).
-
-        Uses the declared exact tensor when present, otherwise complex
-        central finite differences of the remainder at the origin with
-        step 1e-5 (diagonal two-point, off-diagonal four-point, both
-        with cubic-term cancellation).
-        """
-        if self.quadratic is not None:
-            Hq = self.quadratic(t) if callable(self.quadratic) else self.quadratic
-            return np.asarray(Hq, dtype=complex)
-        # each stencil evaluates the remainder on one block of probe rows
-        d, r = _FD_STEP, self.remainder
-        eye = np.eye(self.dim, dtype=complex)
-        k = np.arange(self.dim)
-        i, j = np.triu_indices(self.dim, 1)
-        u, v = eye[i], eye[j]
-        Hq = np.zeros((self.dim,) * 3, dtype=complex)
-        Hq[:, k, k] = ((r(d * eye, t) + r(-d * eye, t)) / (2.0 * d * d)).T
-        Hq[:, i, j] = Hq[:, j, i] = (
-            (r(d * (u + v), t) - r(d * (u - v), t) - r(d * (-u + v), t)
-             + r(d * (-u - v), t)) / (8.0 * d * d)).T
-        return Hq
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +236,6 @@ def _constant_linear(params: dict) -> FieldSpec:
     _check_keys(params, ("matrix", "dim"), "constant-linear params")
     path = LinearPath.constant(_matrix_or_identity(params, "constant-linear"))
     return FieldSpec(dim=path.dim, linear=path, remainder=_zero_remainder,
-                     quadratic=np.zeros((path.dim,) * 3, dtype=complex),
                      family_tag="constant-linear")
 
 
@@ -289,7 +261,6 @@ def _diagonal_periodic(params: dict) -> FieldSpec:
 
     path = LinearPath(q, evaluate)
     return FieldSpec(dim=q, linear=path, remainder=_zero_remainder,
-                     quadratic=np.zeros((q, q, q), dtype=complex),
                      family_tag="diagonal-periodic")
 
 
@@ -302,10 +273,8 @@ def _koebe_remainder(z, t):
 def _koebe_1d(params: dict) -> FieldSpec:
     _check_keys(params, (), "koebe-1d params")
     path = LinearPath.constant(np.eye(1, dtype=complex))
-    Hq = np.zeros((1, 1, 1), dtype=complex)
-    Hq[0, 0, 0] = -2.0
     return FieldSpec(dim=1, linear=path, remainder=_koebe_remainder,
-                     quadratic=Hq, family_tag="koebe-1d")
+                     family_tag="koebe-1d")
 
 
 def _default_quadratic_tensor(q: int) -> np.ndarray:
@@ -338,7 +307,7 @@ def _quadratic_perturbation(params: dict) -> FieldSpec:
         return np.einsum("ijk,...j,...k->...i", T, z, z)
 
     path = LinearPath.constant(A)
-    spec = FieldSpec(dim=q, linear=path, remainder=remainder, quadratic=T,
+    spec = FieldSpec(dim=q, linear=path, remainder=remainder,
                      family_tag="quadratic-perturbation")
     report = class_n_check(spec)
     if not report.passed:
@@ -717,23 +686,10 @@ def parse_field_config(cfg: dict) -> FieldSpec:
                 * z[..., j] * z[..., kk]
         return out
 
-    def quadratic_at(t: float) -> np.ndarray:
-        Hq = np.zeros((q, q, q), dtype=complex)
-        for (o, j, kk, coeff, profile) in records:
-            val = coeff * profile_value(profile, t)
-            if j == kk:
-                Hq[o, j, j] += val
-            else:
-                Hq[o, j, kk] += 0.5 * val
-                Hq[o, kk, j] += 0.5 * val
-        return Hq
-
     path = LinearPath.constant(coeffs[0, 0]) \
         if len(blocks) == 1 and "constant" in blocks_cfg[0] \
         else LinearPath(q, eval_A, breakpoints=breakpoints)
     return FieldSpec(dim=q, linear=path, remainder=remainder,
-                     quadratic=quadratic_at if records else
-                     np.zeros((q, q, q), dtype=complex),
                      family_tag="custom", breakpoints=tuple(breakpoints))
 
 

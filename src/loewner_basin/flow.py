@@ -18,8 +18,7 @@ defect, verifies the two-sided modulus decay estimate
     exp(-C(r0) * K(s,t)) <= |phi_{s,t}(z)| / |z| <= exp(-c(r0) * M(s,t))
 
 with r0 = |z|, c(r) = (1-r)/(1+r), C(r) = 1/c(r), and M, K the running
-integrals of the Hermitian-part eigenvalue bounds of A(t), and
-integrates the second-order jet of phi_{s,t} at the origin.
+integrals of the Hermitian-part eigenvalue bounds of A(t).
 """
 
 from __future__ import annotations
@@ -251,71 +250,3 @@ def decay_bounds_check(field: FieldSpec, s: float, t: float, points,
     return DecayReport(points=pts.shape[0], interval=(s, t),
                        slack_log=slack_log, min_lower_margin=float(min_lo),
                        min_upper_margin=float(min_hi), witnesses=witnesses)
-
-
-# ---------------------------------------------------------------------------
-# second-order jet of the evolution at the origin
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Order-2 Taylor data of phi_{s,t} at 0:
-    phi(z) = linear @ z + contract(quadratic, z, z) + O(|z|^3),
-    with ``quadratic`` symmetric in its last two indices."""
-
-    linear: np.ndarray
-    quadratic: np.ndarray
-
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(
-            self.quadratic - np.swapaxes(self.quadratic, 1, 2))))
-
-    def packed_quadratic(self) -> np.ndarray:
-        """Monomial coefficients, shape (dim, dim*(dim+1)//2).
-
-        Column order is (j, k) with j <= k; off-diagonal tensor
-        entries are doubled so each column is the full coefficient of
-        the monomial z_j z_k.
-        """
-        j, k = np.triu_indices(self.linear.shape[0])
-        cols = self.quadratic[:, j, k]
-        return np.where(j == k, cols, 2.0 * cols)
-
-
-def jet2_transition(field: FieldSpec, s: float, t: float,
-                    tol: float = 1e-10) -> Jet2:
-    """Integrate the order-2 jet of phi_{s,t} at the origin.
-
-    With A(tau) the linear part and H_tau the quadratic coefficient
-    tensor of the field, the jet components solve, from J(s) = I,
-    Q(s) = 0:
-
-        J'           = -A(tau) J
-        Q'[i, j, k]  = -(A(tau) Q)[i, j, k]
-                       - sum_{a, b} H_tau[i, a, b] J[a, j] J[b, k]
-
-    The quadratic equation is the chain rule for the second state
-    derivative of -h(w, tau) along w = J z + Q(z, z) + O(3).
-    """
-    s, t = _check_times(s, t)
-    q = field.dim
-    nJ = q * q
-
-    def rhs(tau, y):  # one row: (J, Q) flattened into y[0]
-        J = y[0, :nJ].reshape(q, q)
-        Q = y[0, nJ:].reshape(q, q, q)
-        A = field.linear.A(tau[0])
-        H = field.quadratic_at(tau[0])
-        dJ = -(A @ J)
-        dQ = -np.einsum("ia,ajk->ijk", A, Q) \
-            - np.einsum("iab,aj,bk->ijk", H, J, J)
-        return np.concatenate([dJ.ravel(), dQ.ravel()])[None]
-
-    y0 = np.concatenate([np.eye(q, dtype=complex).ravel(),
-                         np.zeros(q * q * q, dtype=complex)])
-    (y,), _ = integrate_adaptive(rhs, s, t, y0[None], tol,
-                                 breakpoints=field.breakpoints)
-    J = y[:nJ].reshape(q, q)
-    Q = y[nJ:].reshape(q, q, q)
-    Q = 0.5 * (Q + np.swapaxes(Q, 1, 2))
-    return Jet2(linear=J, quadratic=Q)

@@ -294,12 +294,6 @@ class LinearPath:
         m, k = self.bounds_many([float(t)])[0]
         return HermitianBounds(float(m), float(k))
 
-    def m(self, t: float) -> float:
-        return self.bounds(t).m
-
-    def k(self, t: float) -> float:
-        return self.bounds(t).k
-
     def masses(self, a: float, b: float) -> tuple[float, float]:
         """(int_a^b m(A), int_a^b k(A)) for 0 <= a <= b, from one
         adaptive Gauss-Kronrod call to absolute tolerance ``quad_tol``."""

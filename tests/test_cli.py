@@ -160,6 +160,17 @@ def test_usage_error_missing_field_file(capsys):
     assert code == 1
 
 
+def test_help_and_version_return_zero(capsys):
+    code, out, err = run(capsys, "--version")
+    assert (code, out, err) == (0, cli.__version__ + "\n", "")
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: loewner-basin") and "verify" in out
+    code, out, err = run(capsys, "chain", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: loewner-basin chain") and "--dense" in out
+
+
 def test_malformed_inputs_exit_1_with_one_error_line(capsys, tmp_path):
     bad_scalar = tmp_path / "bad_scalar.json"
     bad_scalar.write_text(json.dumps(
@@ -173,6 +184,8 @@ def test_malformed_inputs_exit_1_with_one_error_line(capsys, tmp_path):
         ("schedule", "--field", str(latin1)),
         ("schedule", "--builtin", "constant-linear", "--param", "dim=2.5"),
         ("chain", "--builtin", "koebe-1d", "--points", "[[NaN]]"),
+        ("flow", "--builtin", "koebe-1d", "--t", "1", "--points", ""),
+        ("flow", "--builtin", "koebe-1d", "--t", "1", "--points", "[]"),
         ("chain", "--builtin", "koebe-1d", "--seed", "-1"),
         ("chain", "--builtin", "koebe-1d", "--points", "[[0.2]]",
          "--seed", "-1"),

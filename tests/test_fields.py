@@ -33,13 +33,6 @@ def test_koebe_field_values(koebe):
         assert abs(HV[i, 0] - w * (1 - w) / (1 + w)) < 1e-14
 
 
-def test_koebe_quadratic_tensor_exact_and_fd(koebe):
-    assert np.allclose(koebe.quadratic_at(0.0), [[[-2.0]]])
-    fd = F.FieldSpec(dim=1, linear=koebe.linear, remainder=koebe.remainder,
-                     quadratic=None, family_tag="koebe-fd")
-    assert abs(fd.quadratic_at(0.0)[0, 0, 0] + 2.0) < 1e-6
-
-
 def test_default_diagonal_periodic_matrix(corpus_map):
     dp = corpus_map["diagonal-periodic"]
     assert np.allclose(dp.A(1.3), np.diag([1.0, 1.0 + 0.5 * np.sin(1.3)]))
@@ -92,8 +85,7 @@ def test_builtin_malformed_params_rejected(family, params):
 def test_class_n_check_flags_outward_field():
     bad = F.FieldSpec(
         dim=1, linear=LinearPath.constant(np.eye(1, dtype=complex)),
-        remainder=lambda z, t: -2.0 * np.asarray(z, dtype=complex),
-        quadratic=np.zeros((1, 1, 1), dtype=complex))
+        remainder=lambda z, t: -2.0 * np.asarray(z, dtype=complex))
     rep = F.class_n_check(bad)
     assert not rep.passed and rep.witnesses
     payload = rep.to_json_dict()
@@ -126,7 +118,10 @@ def test_sample_plan_is_deterministic():
 def test_sample_plan_refuses_bad_seed_and_directions():
     # refused when built, before any state is drawn
     for kw in ({"seed": -1}, {"seed": True}, {"seed": 1.0},
-               {"directions": 0}, {"directions": F.MAX_DIRECTIONS + 1}):
+               {"directions": 0}, {"directions": F.MAX_DIRECTIONS + 1},
+               {"directions": 2.5}, {"directions": True}, {"radii": ()},
+               {"radii": ("a",)}, {"radii": (float("nan"),)},
+               {"times": ()}):
         with pytest.raises(InvalidInputError):
             F.SamplePlan(**kw)
     assert F.SamplePlan(seed=np.int64(3)).seed == 3
@@ -170,12 +165,12 @@ def test_config_parse_and_evaluate():
 
 
 def test_config_quadratic_tensor_consistent():
+    # the symmetric coefficient tensor of CFG's two records at time t
     fs = F.parse_field_config(CFG)
-    fd = F.FieldSpec(dim=2, linear=fs.linear, remainder=fs.remainder,
-                     quadratic=None)
     t = 3.0
-    Hd = fs.quadratic_at(t)
-    assert np.max(np.abs(Hd - fd.quadratic_at(t))) < 1e-6
+    Hd = np.zeros((2, 2, 2), dtype=complex)
+    Hd[0, 1, 1] = 0.25
+    Hd[1, 0, 1] = Hd[1, 1, 0] = 0.5 * 0.1j * (1.0 + 0.5 * np.sin(t))
     z = np.array([0.1 + 0.05j, -0.2 + 0.1j])
     assert np.allclose(np.einsum("ijk,j,k->i", Hd, z, z),
                        fs.remainder(z, t))

@@ -1,5 +1,5 @@
 """Evolution operator: closed-form oracles, semigroup law, decay bounds,
-origin jets, escape and validation guards."""
+escape and validation guards."""
 
 import numpy as np
 import pytest
@@ -53,8 +53,7 @@ def test_constant_diagonal_flow_is_exponential():
 def test_time_varying_scalar_flow():
     path = LinearPath.from_callable(
         1, lambda t: np.array([[1.0 + t]], dtype=complex))
-    fld = F.FieldSpec(dim=1, linear=path, remainder=F._zero_remainder,
-                      quadratic=np.zeros((1, 1, 1), dtype=complex))
+    fld = F.FieldSpec(dim=1, linear=path, remainder=F._zero_remainder)
     w = FL.flow_point(fld, 0.0, 1.0, np.array([0.4 + 0j]), tol=1e-12)
     assert abs(w[0] - 0.4 * np.exp(-1.5)) < 1e-12
 
@@ -124,39 +123,16 @@ def test_flow_never_expands_modulus(corpus):
             assert np.max(grew) <= 1e-9, name
 
 
-# ---------------------------------------------------------------------------
-# origin jets
-
-
-def test_scalar_jet_oracle():
-    # h(z) = z + z^2: first jet e^-1, second jet e^-2 - e^-1 at t = 1
+def test_scalar_flow_second_order_oracle():
+    # h(z) = z + z^2 gives phi_{0,1}(z) = e^-1 z + (e^-2 - e^-1) z^2 + O(z^3),
+    # so the even part of the flow map at +-delta over delta^2 is the
+    # z^2 coefficient up to O(delta^2)
     fld = F.builtin_field("quadratic-perturbation",
                           {"dim": 1, "epsilon": 1.0})
-    jet = FL.jet2_transition(fld, 0.0, 1.0, tol=1e-12)
-    assert abs(jet.linear[0, 0] - np.exp(-1)) < 1e-11
-    want_Q = np.exp(-2) - np.exp(-1)
-    assert abs(jet.quadratic[0, 0, 0] - want_Q) < 1e-10
-    # independent confirmation from the flow itself: even part of the
-    # flow map at +-delta over delta^2 approximates the second jet
     d = 1e-3
     fp = FL.flow_point(fld, 0.0, 1.0, np.array([d + 0j]), tol=1e-13)[0]
     fm = FL.flow_point(fld, 0.0, 1.0, np.array([-d + 0j]), tol=1e-13)[0]
-    assert abs((fp + fm) / (2 * d * d) - want_Q) < 1e-5
-
-
-def test_koebe_jet_closed_form(koebe):
-    jet = FL.jet2_transition(koebe, 0.0, 1.0, tol=1e-12)
-    want = 2 * np.exp(-1.0) * (1 - np.exp(-1.0))
-    assert abs(jet.quadratic[0, 0, 0] - want) < 1e-10
-    assert jet.symmetry_defect() == 0.0
-    assert jet.packed_quadratic().shape == (1, 1)
-
-
-def test_linear_field_has_no_second_jet():
-    fld = F.builtin_field("constant-linear", {"matrix": [[1, 0], [0, 2]]})
-    jet = FL.jet2_transition(fld, 0.0, 0.5, tol=1e-10)
-    assert jet.packed_quadratic().shape == (2, 3)
-    assert np.max(np.abs(jet.quadratic)) < 1e-12
+    assert abs((fp + fm) / (2 * d * d) - (np.exp(-2) - np.exp(-1))) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +167,7 @@ def test_trajectories_rows_match_lone_traces():
 
 def test_outward_field_escape_detected():
     path = LinearPath.constant(-np.eye(1, dtype=complex))
-    bad = F.FieldSpec(dim=1, linear=path, remainder=F._zero_remainder,
-                      quadratic=np.zeros((1, 1, 1), dtype=complex))
+    bad = F.FieldSpec(dim=1, linear=path, remainder=F._zero_remainder)
     with pytest.raises(EscapeError) as exc:
         FL.flow_point(bad, 0.0, 2.0, np.array([0.9 + 0j]))
     assert 0.0 < exc.value.t < 0.2

@@ -153,8 +153,7 @@ def test_quadrature_jump_off_breakpoint_accepted_as_sliver():
 def test_constant_path_mass_integrals_exact():
     path = LinearPath.constant(np.diag([2.0, 3.0]).astype(complex))
     assert path.is_constant
-    assert path.m(0.7) == pytest.approx(2.0, abs=1e-12)
-    assert path.k(0.7) == pytest.approx(3.0, abs=1e-12)
+    assert path.bounds_many([0.7])[0] == pytest.approx([2.0, 3.0], abs=1e-12)
     assert path.M(2.5) == pytest.approx(5.0, abs=1e-12)
     assert path.K(2.5) == pytest.approx(7.5, abs=1e-12)
     assert np.allclose(path.integral_matrix(1.0, 3.0),
@@ -210,7 +209,7 @@ def test_constant_path_copies_callers_matrix():
     A = np.eye(2, dtype=complex)
     path = LinearPath.constant(A)
     A[0, 0] = 2.0
-    assert path.A(0.0)[0, 0] == 1.0 and path.m(0.0) == 1.0
+    assert path.A(0.0)[0, 0] == 1.0 and path.bounds_many([0.0])[0, 0] == 1.0
     assert not path.A(0.0).flags.writeable
 
 
