@@ -47,14 +47,15 @@ paths = [
 for label, path in paths:
     rep = classify_hypotheses(path, grid)
     print(f"  {label}")
-    for key, verdict in rep.verdicts.items():
+    for key, verdict in rep["verdicts"].items():
         mark = {"satisfied": "ok ", "violated": "NO ",
                 "undecidable-on-grid": "?? "}[verdict]
         print(f"      [{mark}] {key:28s} {verdict}")
-    print(f"      mass-ratio bound on the grid: ell = {rep.ell}")
-    if rep.witnesses.get("commuting_uniform_bunching"):
-        w = rep.witnesses["commuting_uniform_bunching"][0]
-        print(f"      witness: t = {w.t:.4f}, {w.quantity} = {w.value:+.4f}")
+    print(f"      mass-ratio bound on the grid: ell = {rep['ell']}")
+    if "commuting_uniform_bunching" in rep["witnesses"]:
+        w = rep["witnesses"]["commuting_uniform_bunching"][0]
+        print(f"      witness: t = {w['t']:.4f}, {w['quantity']} = "
+              f"{w['value']:+.4f}")
     print()
 
 print("  diag(1, 2) fails the strict-bunching margin (the ratio k/m is")

@@ -28,8 +28,8 @@ print(f"  {'field':26s} {'dim':>3s} {'min Re<h,z>/|z|^2':>18s} "
 for name, field in builtin_corpus():
     membership = class_n_check(field, plan)
     sandwich = gurganus_check(field, plan)
-    slack = min(sandwich.min_lower_slack, sandwich.min_upper_slack)
-    print(f"  {name:26s} {field.dim:3d} {membership.min_inner:18.6f} "
+    slack = min(sandwich["min_lower_slack"], sandwich["min_upper_slack"])
+    print(f"  {name:26s} {field.dim:3d} {membership['min_inner']:18.6f} "
           f"{slack:15.2e}")
 print("  A positive minimum ratio certifies inward pointing on every")
 print("  sample; non-negative slack certifies the sandwich.")
@@ -55,10 +55,11 @@ print("=" * 72)
 try:
     builtin_field("quadratic-perturbation", {"dim": 1, "epsilon": 5.0})
 except FieldRejectedError as exc:
-    z, t, value = exc.witnesses[0]
+    w = exc.witnesses[0]
+    z = np.array([complex(re, im) for re, im in w["z"]])
     print(f"  rejected at construction: {exc}")
-    print(f"  witness state z = {z}, time t = {t}")
-    print(f"  Re<h(z, t), z> / |z|^2 = {value:.6f}  (must be > 0)")
+    print(f"  witness state z = {z}, time t = {w['t']}")
+    print(f"  Re<h(z, t), z> / |z|^2 = {w['value']:.6f}  (must be > 0)")
 print("  A strong quadratic term overwhelms the linear part near the")
 print("  sphere, so the field stops pointing inward and every")
 print("  downstream construction refuses to run on it.")

@@ -54,10 +54,10 @@ print("3. Decay certificate for the modulus")
 print("=" * 72)
 shells = np.array([[r + 0j] for r in (0.2, 0.5, 0.8)])
 rep = decay_bounds_check(koebe, 0.0, 2.0, shells, tol=1e-10)
-print(f"  exp(-C(r0) K) <= |phi|/|z| <= exp(-c(r0) M) on {rep.points} "
-      f"states: passed = {rep.passed}")
-print(f"  worst lower margin {rep.min_lower_margin:.3e}, "
-      f"worst upper margin {rep.min_upper_margin:.3e}")
+print(f"  exp(-C(r0) K) <= |phi|/|z| <= exp(-c(r0) M) on {rep['points']} "
+      f"states: passed = {rep['passed']}")
+print(f"  worst lower margin {rep['min_lower_margin']:.3e}, "
+      f"worst upper margin {rep['min_upper_margin']:.3e}")
 print("  (margins are logarithmic slack against the declared bounds)")
 
 times, states = trace(koebe, 0.0, 2.0, np.array([0.8 + 0j]))

@@ -68,7 +68,7 @@ except ScheduleRejectedError as exc:
     print(f"  rejected: {exc}")
     print(f"  claimed ell = {s.ell}, so h = {s.h} and the budget test is")
     print(f"  mu^{s.h} = {s.mu**s.h:.9f}  <  nu_{exc.failing_n} = "
-          f"{s.nu_per_step[exc.failing_n - 1]:.9f}  -- which fails.")
+          f"{s.nu_per_step[exc.failing_n]:.9f}  -- which fails.")
 print("  With the honest ell = 2 the same field is accepted:")
 sched3 = build_schedule(gap.linear, N=4)
 print(f"  measured ell = {sched3.ell}, h = {sched3.h}, accepted = "
@@ -79,10 +79,11 @@ print("=" * 72)
 print("4. Measured per-step contraction sits inside [nu_n, mu]")
 print("=" * 72)
 rep = contraction_check(ident, sched, directions=16, max_steps=4)
-print(f"  steps checked: {rep.steps}, directions per step: "
-      f"{rep.directions}")
-print(f"  min lower margin {rep.min_lower_margin:.3e}, "
-      f"min upper margin {rep.min_upper_margin:.3e}, passed = {rep.passed}")
+print(f"  steps checked: {rep['steps']}, directions per step: "
+      f"{rep['directions']}")
+print(f"  min lower margin {rep['min_lower_margin']:.3e}, "
+      f"min upper margin {rep['min_upper_margin']:.3e}, "
+      f"passed = {rep['passed']}")
 print("  Every measured one-step modulus ratio obeys the budget that")
 print("  the schedule promised, which is exactly what the limit-map")
 print("  construction spends.")

@@ -15,7 +15,12 @@ linear    matrix analysis: Hermitian bounds, spectra, mass integrals,
 fields    admissible fields, built-in families, sampling checks,
           the JSON field-file format
 flow      the evolution operator and decay-bound verification
-schedule  unit-mass times and the mu/nu contraction budget
+schedule  unit-mass times, the mu/nu contraction budget and its
+          per-step measurement
+
+Each check (``class_n_check``, ``gurganus_check``, ``growth_check``,
+``decay_bounds_check``, ``contraction_check``, ``classify_hypotheses``)
+returns the JSON-ready dict its command prints.
 chain     the normalized limit maps and their consistency checks
 cli       the ``loewner-basin`` command line tool
 """
@@ -27,34 +32,30 @@ from .errors import (ChainUnavailableError, DegenerateTransitionError,
                      LoewnerError, NumericalFailureError,
                      ScheduleRejectedError, StiffnessError,
                      UnknownFamilyError)
-from .fields import (C_of, ClassNReport, FieldSpec, GrowthReport,
-                     GurganusReport, SamplePlan, builtin_corpus,
+from .fields import (C_of, FieldSpec, SamplePlan, builtin_corpus,
                      builtin_field, c_of, class_n_check, growth_check,
                      gurganus_check, load_field_file, parse_field_config,
                      remainder_order_check)
-from .flow import (DecayReport, FlowRequest, FlowResult, decay_bounds_check,
-                   evolve, flow_point, semigroup_defect, trace, trajectories)
-from .linear import (GRID_MARGIN, MAX_DIM, HermitianBounds, HypothesisReport,
-                     InverseTransitionProduct, LinearPath, Witness,
+from .flow import (FlowRequest, FlowResult, decay_bounds_check, evolve,
+                   flow_point, semigroup_defect, trace, trajectories)
+from .linear import (GRID_MARGIN, MAX_DIM, HermitianBounds,
+                     InverseTransitionProduct, LinearPath,
                      classify_hypotheses, ell_estimate, hermitian_bounds,
                      operator_norm, spectral_abscissa, transition_matrix)
-from .schedule import (ContractionReport, Schedule, build_schedule,
-                       compute_times, contraction_check, log_ratio_check,
-                       radius_for)
+from .schedule import (Schedule, build_schedule, compute_times,
+                       contraction_check, log_ratio_check, radius_for)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "C_of", "ChainEvaluator", "ChainUnavailableError", "ChainValue",
-    "ClassNReport", "ContractionReport", "DecayReport",
     "DegenerateTransitionError", "EscapeError", "FieldRejectedError",
-    "FieldSpec", "FlowRequest", "FlowResult", "GRID_MARGIN", "GrowthReport",
-    "GurganusReport", "HermitianBounds", "HorizonExhaustedError",
-    "HypothesisReport", "HypothesisViolationError", "InvalidInputError",
-    "InverseTransitionProduct", "LinearPath", "LoewnerError",
-    "MAX_DIM", "NumericalFailureError", "RangeSample", "SamplePlan",
-    "Schedule", "ScheduleRejectedError", "StiffnessError",
-    "UnknownFamilyError", "Witness", "build_schedule", "builtin_corpus",
+    "FieldSpec", "FlowRequest", "FlowResult", "GRID_MARGIN",
+    "HermitianBounds", "HorizonExhaustedError", "HypothesisViolationError",
+    "InvalidInputError", "InverseTransitionProduct", "LinearPath",
+    "LoewnerError", "MAX_DIM", "NumericalFailureError", "RangeSample",
+    "SamplePlan", "Schedule", "ScheduleRejectedError", "StiffnessError",
+    "UnknownFamilyError", "build_schedule", "builtin_corpus",
     "builtin_field", "c_of", "class_n_check", "classify_hypotheses",
     "compute_times", "contraction_check", "decay_bounds_check",
     "ell_estimate", "evolve", "flow_point", "growth_check", "gurganus_check",

@@ -103,6 +103,10 @@ def _span(s: np.ndarray, t: np.ndarray, row: int) -> str:
     return f"[{float(s[row])!r}, {float(t[row])!r}]"
 
 
+# An overflow in the right-hand side or a stage sum shows up as a
+# non-finite error estimate or state, which raises NumericalFailureError,
+# so numpy's warnings about it are silenced.
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
                        *, breakpoints=(), escape_radius: float | None = None,
                        on_step=None, atol: float | None = None

@@ -88,7 +88,8 @@ class ScheduleRejectedError(LoewnerError):
 
 
 class FieldRejectedError(InvalidInputError):
-    """Field construction-time validation failed; carries witnesses."""
+    """Field construction-time validation failed; carries witnesses,
+    each a JSON-ready {"z", "t", "value"} record of a failing sample."""
 
     def __init__(self, message: str, witnesses: list | None = None):
         super().__init__(message)

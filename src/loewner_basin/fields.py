@@ -16,7 +16,8 @@ this module provides:
   ``gurganus_check`` (the sandwich c(|z|) Re<A z, z> <= Re<h, z> <=
   C(|z|) Re<A z, z> with c(r) = (1 - r)/(1 + r), C(r) = 1/c(r)), and
   ``growth_check`` (|h(z, t)| <= 4 r / (1 - r)^2 * ||A(t)|| on
-  |z| <= r);
+  |z| <= r), each returning the JSON-ready dict its command prints:
+  the least margins, ``passed`` and at most 16 (z, t, value) witnesses;
 * a strict JSON file format for custom polynomial fields (unknown
   keys rejected) via ``load_field_file``, whose number and entry rules
   (``check_real``, ``complex_rows``) the built-ins, the flow and the
@@ -25,7 +26,7 @@ this module provides:
   the verification suite.
 
 All samplers draw deterministic points from a seeded generator, so a
-report is reproducible byte for byte from (config, seed).
+check's result is reproducible byte for byte from (config, seed).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (FieldRejectedError, InvalidInputError,
-                     UnknownFamilyError)
+                     NumericalFailureError, UnknownFamilyError)
 from .linear import (LinearPath, as_complex_array, check_dim, operator_norm,
                      validate_matrix)
 
@@ -309,12 +310,13 @@ def _quadratic_perturbation(params: dict) -> FieldSpec:
     path = LinearPath.constant(A)
     spec = FieldSpec(dim=q, linear=path, remainder=remainder,
                      family_tag="quadratic-perturbation")
-    report = class_n_check(spec)
-    if not report.passed:
+    # h does not depend on t, so one sample time covers every time
+    check = class_n_check(spec, SamplePlan(times=(0.0,)))
+    if not check["passed"]:
         raise FieldRejectedError(
             "quadratic-perturbation parameters break the positivity of "
-            f"Re<h(z,t), z> on the validation sample (min {report.min_inner:.3e})",
-            witnesses=report.witnesses[:8])
+            f"Re<h(z,t), z> on the validation sample (min {check['min_inner']:.3e})",
+            witnesses=check["witnesses"][:8])
     return spec
 
 
@@ -372,82 +374,65 @@ def _inner_re(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.real(np.sum(h * np.conj(z), axis=-1))
 
 
-@dataclass
-class ClassNReport:
-    """Positivity of Re<h(z, t), z> over the sample plan.
-
-    min_inner is the minimum of Re<h, z> / |z|^2; witnesses hold the
-    (z, t, value) triples where it was <= 0.
-    """
-
-    samples: int
-    min_inner: float
-    witnesses: list
-
-    @property
-    def passed(self) -> bool:
-        return self.min_inner > 0.0
-
-    def to_json_dict(self) -> dict:
-        return {"samples": self.samples, "min_inner": self.min_inner,
-                "passed": self.passed,
-                "witnesses": [_witness_json(w) for w in self.witnesses[:16]]}
-
-
-def _witness_json(w) -> dict:
-    z, t, value = w
-    return {"z": [[float(c.real), float(c.imag)] for c in np.atleast_1d(z)],
+def _witness(z: np.ndarray, t, value) -> dict:
+    """A sampled violation as JSON: the state z, the time t and the value."""
+    return {"z": [[float(c.real), float(c.imag)] for c in z],
             "t": float(t), "value": float(value)}
 
 
-def class_n_check(field: FieldSpec, plan: SamplePlan | None = None) -> ClassNReport:
-    """Sample Re<h(z, t), z> / |z|^2 over shells, directions and times."""
+def _within_slack(v: np.ndarray) -> np.ndarray:
+    return v >= INEQUALITY_SLACK
+
+
+def _scan(field: FieldSpec, Z: np.ndarray, times, margins, ok):
+    """Evaluate h once per time on the states Z, and the margins that
+    ``margins(t, h)`` returns from it.
+
+    Returns the least value of each margin and the witnesses: for each
+    time and margin, the first four states where ``ok`` fails, 16 at
+    most in all.  A margin that is not finite raises
+    NumericalFailureError naming the time.
+    """
+    least = None
+    witnesses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in times:
+            values = margins(t, field.h(Z, t))
+            if not all(np.isfinite(v).all() for v in values):
+                raise NumericalFailureError(
+                    f"sampled field values are not finite at t = {float(t)!r}")
+            mins = [float(np.min(v)) for v in values]
+            least = mins if least is None else list(map(min, least, mins))
+            for v in values:
+                witnesses += [_witness(Z[j], t, v[j])
+                              for j in np.flatnonzero(~ok(v))[:4]]
+    return least, witnesses[:16]
+
+
+def class_n_check(field: FieldSpec, plan: SamplePlan | None = None) -> dict:
+    """Sample Re<h(z, t), z> / |z|^2 over shells, directions and times.
+
+    Returns {"samples", "min_inner", "passed", "witnesses"}: passed when
+    the least ratio is positive, with (z, t, value) witnesses where the
+    ratio is <= 0.
+    """
     plan = plan or SamplePlan()
     Z = plan.states(field.dim)
     nz2 = np.sum(np.abs(Z) ** 2, axis=1)
-    min_inner = math.inf
-    witnesses = []
-    for t in plan.times:
-        vals = _inner_re(field.h(Z, t), Z) / nz2
-        i = int(np.argmin(vals))
-        if vals[i] < min_inner:
-            min_inner = float(vals[i])
-        bad = np.nonzero(vals <= 0.0)[0]
-        for j in bad[:4]:
-            witnesses.append((Z[j].copy(), float(t), float(vals[j])))
-    return ClassNReport(samples=Z.shape[0] * len(plan.times),
-                        min_inner=min_inner, witnesses=witnesses)
+    (least,), witnesses = _scan(field, Z, plan.times,
+                                lambda t, H: (_inner_re(H, Z) / nz2,),
+                                lambda v: v > 0.0)
+    return {"samples": Z.shape[0] * len(plan.times), "min_inner": least,
+            "passed": least > 0.0, "witnesses": witnesses}
 
 
-@dataclass
-class GurganusReport:
-    """Sandwich c(|z|) Re<A z, z> <= Re<h, z> <= C(|z|) Re<A z, z>.
+def gurganus_check(field: FieldSpec, plan: SamplePlan | None = None) -> dict:
+    """Verify the sandwich c(|z|) Re<A z, z> <= Re<h, z> <= C(|z|) Re<A z, z>
+    on the sample plan.
 
-    Slacks are the raw differences (actual - lower) and
-    (upper - actual); both must stay >= -1e-10 on every sample.
-    """
-
-    samples: int
-    min_lower_slack: float
-    min_upper_slack: float
-    witnesses: list
-
-    @property
-    def passed(self) -> bool:
-        return (self.min_lower_slack >= INEQUALITY_SLACK
-                and self.min_upper_slack >= INEQUALITY_SLACK)
-
-    def to_json_dict(self) -> dict:
-        return {"samples": self.samples,
-                "min_lower_slack": self.min_lower_slack,
-                "min_upper_slack": self.min_upper_slack,
-                "passed": self.passed,
-                "witnesses": [_witness_json(w) for w in self.witnesses[:16]]}
-
-
-def gurganus_check(field: FieldSpec, plan: SamplePlan | None = None) -> GurganusReport:
-    """Verify the sandwich inequalities on the sample plan.
-
+    Returns {"samples", "min_lower_slack", "min_upper_slack", "passed",
+    "witnesses"}: the slacks are the raw differences (actual - lower) and
+    (upper - actual), and both must stay >= -1e-10 on every sample.
     Assumes the positivity check already passed (the sandwich bounds
     are vacuous where Re<A z, z> <= 0).
     """
@@ -456,66 +441,38 @@ def gurganus_check(field: FieldSpec, plan: SamplePlan | None = None) -> Gurganus
     radii = np.linalg.norm(Z, axis=1)
     cs = (1.0 - radii) / (1.0 + radii)
     Cs = 1.0 / cs
-    min_lo = math.inf
-    min_hi = math.inf
-    witnesses = []
-    for t in plan.times:
-        A = field.linear.A(t)
-        lin = _inner_re(np.einsum("ij,...j->...i", A, Z), Z)
-        act = _inner_re(field.h(Z, t), Z)
-        lo_slack = act - cs * lin
-        hi_slack = Cs * lin - act
-        min_lo = min(min_lo, float(np.min(lo_slack)))
-        min_hi = min(min_hi, float(np.min(hi_slack)))
-        for slack in (lo_slack, hi_slack):
-            bad = np.nonzero(slack < INEQUALITY_SLACK)[0]
-            for j in bad[:4]:
-                witnesses.append((Z[j].copy(), float(t), float(slack[j])))
-    return GurganusReport(samples=Z.shape[0] * len(plan.times),
-                          min_lower_slack=min_lo, min_upper_slack=min_hi,
-                          witnesses=witnesses)
 
+    def margins(t, H):
+        lin = _inner_re(np.einsum("ij,...j->...i", field.linear.A(t), Z), Z)
+        act = _inner_re(H, Z)
+        return act - cs * lin, Cs * lin - act
 
-@dataclass
-class GrowthReport:
-    """Bound |h(z, t)| <= 4 r (1 - r)^-2 ||A(t)|| on sampled |z| <= r."""
-
-    samples: int
-    radius: float
-    min_slack: float
-    witnesses: list
-
-    @property
-    def passed(self) -> bool:
-        return self.min_slack >= INEQUALITY_SLACK
-
-    def to_json_dict(self) -> dict:
-        return {"samples": self.samples, "radius": self.radius,
-                "min_slack": self.min_slack, "passed": self.passed,
-                "witnesses": [_witness_json(w) for w in self.witnesses[:16]]}
+    (lo, hi), witnesses = _scan(field, Z, plan.times, margins, _within_slack)
+    return {"samples": Z.shape[0] * len(plan.times), "min_lower_slack": lo,
+            "min_upper_slack": hi, "passed": min(lo, hi) >= INEQUALITY_SLACK,
+            "witnesses": witnesses}
 
 
 def growth_check(field: FieldSpec, r: float, times=(0.0, 0.5, 1.0, 2.0),
-                 *, directions: int = 512, seed: int = 0) -> GrowthReport:
-    """Verify the growth bound at shells of radius up to r (0 < r < 1)."""
+                 *, directions: int = 512, seed: int = 0) -> dict:
+    """Verify |h(z, t)| <= 4 r (1 - r)^-2 ||A(t)|| at shells of radius up
+    to r (0 < r < 1).
+
+    Returns {"samples", "radius", "min_slack", "passed", "witnesses"}:
+    the slack is bound - |h| and must stay >= -1e-10 on every sample.
+    """
     plan = SamplePlan(radii=(0.25 * r, 0.5 * r, 0.75 * r, r),
                       directions=directions, times=tuple(times), seed=seed)
     Z = plan.states(field.dim)
     bound_coeff = 4.0 * r / (1.0 - r) ** 2
-    min_slack = math.inf
-    witnesses = []
-    for t in plan.times:
-        bound = bound_coeff * operator_norm(field.linear.A(t))
-        mags = np.linalg.norm(field.h(Z, t), axis=-1)
-        slack = bound - mags
-        i = int(np.argmin(slack))
-        if slack[i] < min_slack:
-            min_slack = float(slack[i])
-        bad = np.nonzero(slack < INEQUALITY_SLACK)[0]
-        for j in bad[:4]:
-            witnesses.append((Z[j].copy(), float(t), float(slack[j])))
-    return GrowthReport(samples=Z.shape[0] * len(plan.times), radius=r,
-                        min_slack=min_slack, witnesses=witnesses)
+    (least,), witnesses = _scan(
+        field, Z, plan.times,
+        lambda t, H: (bound_coeff * operator_norm(field.linear.A(t))
+                      - np.linalg.norm(H, axis=-1),),
+        _within_slack)
+    return {"samples": Z.shape[0] * len(plan.times), "radius": r,
+            "min_slack": least, "passed": least >= INEQUALITY_SLACK,
+            "witnesses": witnesses}
 
 
 def remainder_order_check(field: FieldSpec, times=(0.0, 1.0),

@@ -177,9 +177,11 @@ def semigroup_defect(field: FieldSpec, s: float, u: float, t: float,
 # two-sided modulus decay
 
 
-@dataclass
-class DecayReport:
-    """Margins of the two-sided modulus decay estimate.
+def decay_bounds_check(field: FieldSpec, s: float, t: float, points,
+                       tol: float = 1e-10) -> dict:
+    """Evolve points and compare the measured modulus ratio with the
+    two-sided decay estimate.  Start points must be nonzero (the ratio
+    is undefined at the origin).
 
     For each start point z with r0 = |z| and measured
     g = log(|phi_{s,t}(z)| / |z|):
@@ -188,42 +190,12 @@ class DecayReport:
         upper_margin = (-c(r0) * M(s,t) + slack_log) - g
 
     slack_log = quadrature tolerance + 20 * ODE tolerance covers the
-    numerical error in both g and the integrals.  The estimate holds
-    when both margins are >= 0 for every point; witnesses collect the
-    violating (z, r0, g, lower_log, upper_log) tuples.
+    numerical error in both g and the integrals.  Returns {"points",
+    "interval", "slack_log", "min_lower_margin", "min_upper_margin",
+    "passed", "witnesses"}: passed when both margins are >= 0 for every
+    point, with at most 16 witnesses {"z", "r0", "log_ratio",
+    "lower_log", "upper_log"} where one is not.
     """
-
-    points: int
-    interval: tuple
-    slack_log: float
-    min_lower_margin: float
-    min_upper_margin: float
-    witnesses: list
-
-    @property
-    def passed(self) -> bool:
-        return self.min_lower_margin >= 0.0 and self.min_upper_margin >= 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": self.points,
-            "interval": [self.interval[0], self.interval[1]],
-            "slack_log": self.slack_log,
-            "min_lower_margin": self.min_lower_margin,
-            "min_upper_margin": self.min_upper_margin,
-            "passed": self.passed,
-            "witnesses": [
-                {"z": [[c.real, c.imag] for c in w[0]], "r0": w[1],
-                 "log_ratio": w[2], "lower_log": w[3], "upper_log": w[4]}
-                for w in self.witnesses[:16]],
-        }
-
-
-def decay_bounds_check(field: FieldSpec, s: float, t: float, points,
-                       tol: float = 1e-10) -> DecayReport:
-    """Evolve points and compare the measured modulus ratio with the
-    two-sided decay estimate.  Start points must be nonzero (the ratio
-    is undefined at the origin)."""
     req = FlowRequest(field=field, s=s, t=t, points=points, tol=tol)
     s, t, pts = req.s, req.t, req.points
     radii = np.linalg.norm(pts, axis=1)
@@ -246,7 +218,13 @@ def decay_bounds_check(field: FieldSpec, s: float, t: float, points,
         min_lo = min(min_lo, lo_margin)
         min_hi = min(min_hi, hi_margin)
         if lo_margin < 0.0 or hi_margin < 0.0:
-            witnesses.append((pts[i].copy(), r0, g, lower_log, upper_log))
-    return DecayReport(points=pts.shape[0], interval=(s, t),
-                       slack_log=slack_log, min_lower_margin=float(min_lo),
-                       min_upper_margin=float(min_hi), witnesses=witnesses)
+            witnesses.append({"z": [[float(c.real), float(c.imag)]
+                                    for c in pts[i]],
+                              "r0": r0, "log_ratio": g,
+                              "lower_log": lower_log, "upper_log": upper_log})
+    min_lo, min_hi = float(min_lo), float(min_hi)
+    return {"points": pts.shape[0], "interval": [s, t],
+            "slack_log": slack_log, "min_lower_margin": min_lo,
+            "min_upper_margin": min_hi,
+            "passed": min_lo >= 0.0 and min_hi >= 0.0,
+            "witnesses": witnesses[:16]}

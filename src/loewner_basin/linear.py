@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -351,14 +350,6 @@ def ell_estimate(path: LinearPath, grid) -> float:
     return float(np.max(mk[:, 1] / mk[:, 0]))
 
 
-class Witness(NamedTuple):
-    """A concrete (time, quantity, value) record backing a verdict."""
-
-    t: float
-    quantity: str
-    value: float
-
-
 VERDICT_SATISFIED = "satisfied"
 VERDICT_VIOLATED = "violated"
 VERDICT_UNDECIDABLE = "undecidable-on-grid"
@@ -368,31 +359,9 @@ CRITERIA = ("constant_spectral_gap", "constant_positive_spectrum",
             "commuting_uniform_bunching", "general_bunching")
 
 
-@dataclass
-class HypothesisReport:
-    """Grid-based verdicts for the four sufficient-condition sets.
-
-    verdicts maps each criterion key to 'satisfied', 'violated' or
-    'undecidable-on-grid' (the last when a condition holds but with
-    margin below 1e-8, so the grid cannot certify it).  A violated
-    verdict always carries at least one witness.  ``ell`` is the grid
-    supremum of k/m, or None when m <= 0 somewhere on the grid.
-    """
-
-    verdicts: dict[str, str]
-    witnesses: dict[str, list[Witness]]
-    ell: float | None
-    grid_size: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdicts": dict(self.verdicts),
-            "witnesses": {kk: [{"t": w.t, "quantity": w.quantity,
-                                "value": w.value} for w in ws]
-                          for kk, ws in self.witnesses.items() if ws},
-            "ell": self.ell,
-            "grid_size": self.grid_size,
-        }
+def _witness(t: float, quantity: str, value: float) -> dict:
+    """A concrete (time, quantity, value) record backing a verdict."""
+    return {"t": t, "quantity": quantity, "value": value}
 
 
 def _margin_verdict(margin: float) -> str:
@@ -411,7 +380,7 @@ def _combine(parts: list[str]) -> str:
     return VERDICT_SATISFIED
 
 
-def classify_hypotheses(path: LinearPath, grid) -> HypothesisReport:
+def classify_hypotheses(path: LinearPath, grid) -> dict:
     """Check the four sufficient-condition sets on a time grid.
 
     The criteria, named by what they require of A(t):
@@ -432,6 +401,13 @@ def classify_hypotheses(path: LinearPath, grid) -> HypothesisReport:
 
     All verdicts are decided from grid samples only; margins below
     1e-8 downgrade 'satisfied' to 'undecidable-on-grid'.
+
+    Returns {"verdicts", "witnesses", "ell", "grid_size"}: verdicts maps
+    each criterion key to 'satisfied', 'violated' or
+    'undecidable-on-grid'; witnesses maps each criterion with a
+    violation to its {"t", "quantity", "value"} records (a violated
+    verdict always has one); ``ell`` is the grid supremum of k/m, or
+    None when m <= 0 somewhere on the grid.
     """
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size < 2:
@@ -449,31 +425,31 @@ def classify_hypotheses(path: LinearPath, grid) -> HypothesisReport:
     constant = dev <= 1e-12 * (1.0 + float(np.max(np.abs(A0))))
 
     verdicts: dict[str, str] = {}
-    witnesses: dict[str, list[Witness]] = {kk: [] for kk in CRITERIA}
+    witnesses: dict[str, list[dict]] = {kk: [] for kk in CRITERIA}
 
     # constant-coefficient criteria
     if not constant:
         for key in ("constant_spectral_gap", "constant_positive_spectrum"):
             verdicts[key] = VERDICT_VIOLATED
             witnesses[key].append(
-                Witness(dev_t, "max |A(t) - A(0)| entry deviation", dev))
+                _witness(dev_t, "max |A(t) - A(0)| entry deviation", dev))
     else:
         gap = 2.0 * float(np.min(ms)) - spectral_abscissa(A0)
         verdicts["constant_spectral_gap"] = _margin_verdict(gap)
         if gap <= 0.0:
             witnesses["constant_spectral_gap"].append(
-                Witness(float(grid[0]),
-                        "2*m(A) - max Re spectrum(A)", gap))
+                _witness(float(grid[0]),
+                         "2*m(A) - max Re spectrum(A)", gap))
         re_min = float(np.min(eigenvalues(A0).real))
         verdicts["constant_positive_spectrum"] = _margin_verdict(re_min)
         if re_min <= 0.0:
             witnesses["constant_positive_spectrum"].append(
-                Witness(float(grid[0]), "min Re eigenvalue", re_min))
+                _witness(float(grid[0]), "min Re eigenvalue", re_min))
 
     # positivity of m on the grid (shared by the last two criteria)
     i_min_m = int(np.argmin(ms))
     m_verdict = _margin_verdict(float(ms[i_min_m]))
-    m_witness = Witness(float(grid[i_min_m]), "m(A(t))", float(ms[i_min_m]))
+    m_witness = _witness(float(grid[i_min_m]), "m(A(t))", float(ms[i_min_m]))
 
     # uniform bunching 2m >= k + delta
     bunch = 2.0 * ms - ks
@@ -484,8 +460,8 @@ def classify_hypotheses(path: LinearPath, grid) -> HypothesisReport:
         witnesses["commuting_uniform_bunching"].append(m_witness)
     if delta_verdict == VERDICT_VIOLATED:
         witnesses["commuting_uniform_bunching"].append(
-            Witness(float(grid[i_bunch]), "2*m(A(t)) - k(A(t))",
-                    float(bunch[i_bunch])))
+            _witness(float(grid[i_bunch]), "2*m(A(t)) - k(A(t))",
+                     float(bunch[i_bunch])))
     # commuting integrated family over sampled triples r < s < t
     if constant:
         parts.append(VERDICT_SATISFIED)
@@ -505,8 +481,8 @@ def classify_hypotheses(path: LinearPath, grid) -> HypothesisReport:
             if comm > bound:
                 comm_verdict = VERDICT_VIOLATED
                 witnesses["commuting_uniform_bunching"].append(
-                    Witness(float(anchors[kk]),
-                            "commutator norm of integrated blocks", comm))
+                    _witness(float(anchors[kk]),
+                             "commutator norm of integrated blocks", comm))
                 break
         parts.append(comm_verdict)
     verdicts["commuting_uniform_bunching"] = _combine(parts)
@@ -519,8 +495,9 @@ def classify_hypotheses(path: LinearPath, grid) -> HypothesisReport:
     else:
         ell = float(np.max(ks / ms))
         verdicts["general_bunching"] = m_verdict
-    return HypothesisReport(verdicts=verdicts, witnesses=witnesses,
-                            ell=ell, grid_size=int(grid.size))
+    return {"verdicts": verdicts,
+            "witnesses": {kk: ws for kk, ws in witnesses.items() if ws},
+            "ell": ell, "grid_size": int(grid.size)}
 
 
 def transition_matrix(path: LinearPath, s, t, tol: float = 1e-10

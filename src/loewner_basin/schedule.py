@@ -238,40 +238,19 @@ def log_ratio_check(path: LinearPath, schedule: Schedule) -> float:
     return float(worst)
 
 
-@dataclass
-class ContractionReport:
-    """Measured per-step modulus ratios against the [nu_n, mu] sandwich
-    for start states of modulus <= r."""
-
-    steps: int
-    directions: int
-    min_lower_margin: float
-    min_upper_margin: float
-    witnesses: list
-
-    @property
-    def passed(self) -> bool:
-        return self.min_lower_margin >= 0.0 and self.min_upper_margin >= 0.0
-
-    def to_json_dict(self) -> dict:
-        return {"steps": self.steps, "directions": self.directions,
-                "min_lower_margin": self.min_lower_margin,
-                "min_upper_margin": self.min_upper_margin,
-                "passed": self.passed,
-                "witnesses": [{"step": w[0], "ratio": w[1],
-                               "lower": w[2], "upper": w[3]}
-                              for w in self.witnesses[:16]]}
-
-
 def contraction_check(field, schedule: Schedule, *, directions: int = 32,
                       seed: int = 0, tol: float = 1e-10,
-                      max_steps: int | None = None) -> ContractionReport:
+                      max_steps: int | None = None) -> dict:
     """Evolve shell states of modulus r through each schedule step and
     compare measured ratios |phi(z)| / |z| with the sandwich
     [nu_n * (1 - slack), mu * (1 + slack)], slack = 100 * tol + 1e-9.
 
     The field's linear part must be the path the schedule was built
-    from; states start on the working-radius shell.
+    from; states start on the working-radius shell.  Returns {"steps",
+    "directions", "min_lower_margin", "min_upper_margin", "passed",
+    "witnesses"}: passed when every ratio lies in its sandwich, with at
+    most 16 witnesses {"step", "ratio", "lower", "upper"}, one per
+    failing step.
     """
     from .flow import FlowRequest, evolve  # local import to avoid a cycle
 
@@ -296,7 +275,9 @@ def contraction_check(field, schedule: Schedule, *, directions: int = 32,
         if lo_margin < 0.0 or hi_margin < 0.0:
             bad = int(np.argmin(ratios)) if lo_margin < 0.0 \
                 else int(np.argmax(ratios))
-            witnesses.append((n, float(ratios[bad]), lower, upper))
-    return ContractionReport(steps=n_steps, directions=directions,
-                             min_lower_margin=min_lo, min_upper_margin=min_hi,
-                             witnesses=witnesses)
+            witnesses.append({"step": n, "ratio": float(ratios[bad]),
+                              "lower": lower, "upper": upper})
+    return {"steps": n_steps, "directions": directions,
+            "min_lower_margin": min_lo, "min_upper_margin": min_hi,
+            "passed": min_lo >= 0.0 and min_hi >= 0.0,
+            "witnesses": witnesses[:16]}

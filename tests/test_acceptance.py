@@ -98,8 +98,9 @@ def test_criterion_03_decay_bounds(capsys, corpus):
                 fld.dim)
             for (s, t) in DECAY_INTERVALS:
                 rep = FL.decay_bounds_check(fld, s, t, pts, tol=SWEEP_TOL)
-                assert rep.passed and not rep.witnesses, (
-                    name, s, t, rep.min_lower_margin, rep.min_upper_margin)
+                assert rep["passed"] and not rep["witnesses"], (
+                    name, s, t, rep["min_lower_margin"],
+                    rep["min_upper_margin"])
 
 
 def test_criterion_04_sandwich_bounds(capsys, corpus, koebe):
@@ -109,10 +110,10 @@ def test_criterion_04_sandwich_bounds(capsys, corpus, koebe):
         plan = F.SamplePlan(radii=NINE_RADII, directions=64)
         for name, fld in corpus:
             rep = F.gurganus_check(fld, plan)
-            assert rep.passed, (name, rep.min_lower_slack,
-                                rep.min_upper_slack)
-            assert rep.min_lower_slack >= -1e-10
-            assert rep.min_upper_slack >= -1e-10
+            assert rep["passed"], (name, rep["min_lower_slack"],
+                                   rep["min_upper_slack"])
+            assert rep["min_lower_slack"] >= -1e-10
+            assert rep["min_upper_slack"] >= -1e-10
         for r in NINE_RADII:
             z = np.array([r + 0j])
             act = float(np.real(koebe.h(z, 0.0)[0] * np.conj(z[0])))

@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -244,13 +245,41 @@ def test_non_finite_flow_exit_3(capsys, tmp_path):
                           "coeff_re": 1e308}]}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(cfg))
-    with np.errstate(all="ignore"):
-        code, out, _ = run(capsys, "flow", "--field", str(path), "--t", "1",
-                           "--points", "[[0.5]]")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "flow", "--field", str(path), "--t", "1",
+                             "--points", "[[0.5]]")
     assert code == 3 and "NaN" not in out
+    assert err == "" and not caught, [str(w.message) for w in caught]
     payload = json.loads(out)
     assert payload["status"] == "failed"
     assert payload["error"]["type"] == "NumericalFailureError"
+
+
+def _strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity tokens Python accepts."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_samples_exit_3_with_valid_json(capsys, tmp_path):
+    # the same overflowing field: the sampled checks refuse non-finite
+    # margins instead of printing -Infinity
+    cfg = {"dim": 1, "linear": [{"until": None, "constant": [[1.0]]}],
+           "quadratic": [{"out_index": 0, "in_indices": [0, 0],
+                          "coeff_re": 1e308}]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "analyze", "--field", str(path),
+                             "--directions", "64")
+    assert code == 3 and err == "" and not caught
+    payload = _strict_json(out)
+    assert payload["status"] == "failed"
+    assert payload["error"]["type"] == "NumericalFailureError"
+    assert "not finite at t = " in payload["error"]["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +459,27 @@ def test_verify_battery_passes_for_koebe(capsys):
     checks = payload["result"]["checks"]
     assert checks and all(c.get("passed", True) for c in checks.values())
     assert payload["result"]["all_passed"] is True
+
+
+@pytest.mark.parametrize("field, horizon", [
+    (("--builtin", "koebe-1d"), "1"),
+    (("--builtin", "constant-linear", "--param", "matrix=[[8]]"), "3"),
+])
+def test_verify_keeps_its_report_when_the_schedule_ends_early(
+        capsys, field, horizon):
+    # the chain residuals need u_N >= 1 + 1e-4; a shorter schedule fails
+    # those checks instead of replacing the battery with an error
+    code, payload, _ = run_json(
+        capsys, "verify", *field, "--directions", "2", "--intervals", "0:1",
+        "--horizon", horizon)
+    assert code == 2 and payload["status"] == "rejected"
+    checks = payload["result"]["checks"]
+    assert checks["schedule"]["passed"] is True
+    for name in ("chain_identity", "transport"):
+        assert set(checks[name]) <= {"passed", "residual", "reason"}
+    assert checks["transport"]["passed"] is False
+    assert "exceeds the schedule horizon" in checks["transport"]["reason"]
+    assert payload["result"]["all_passed"] is False
 
 
 def test_verify_decay_slack_honours_tol_quad(capsys):

@@ -51,15 +51,25 @@ def test_corpus_names_and_membership(corpus):
     plan = F.SamplePlan(directions=128)
     for name, fld in corpus:
         rep = F.class_n_check(fld, plan)
-        assert rep.passed, (name, rep.min_inner)
+        assert rep["passed"], (name, rep["min_inner"])
         gur = F.gurganus_check(fld, plan)
-        assert gur.passed, (name, gur.min_lower_slack, gur.min_upper_slack)
+        assert gur["passed"], (name, gur["min_lower_slack"],
+                               gur["min_upper_slack"])
 
 
 def test_overstrong_quadratic_rejected_with_witnesses():
     with pytest.raises(FieldRejectedError) as exc:
         F.builtin_field("quadratic-perturbation", {"dim": 1, "epsilon": 5.0})
     assert exc.value.witnesses
+
+
+def test_quadratic_rejection_witnesses_are_distinct_states():
+    # h does not depend on t, so admission samples one time and no state
+    # is reported twice
+    with pytest.raises(FieldRejectedError) as exc:
+        F.builtin_field("quadratic-perturbation", {"dim": 2, "epsilon": 3.0})
+    states = [json.dumps(w["z"]) for w in exc.value.witnesses]
+    assert len(states) == 4 and len(set(states)) == 4
 
 
 def test_unknown_family():
@@ -87,9 +97,7 @@ def test_class_n_check_flags_outward_field():
         dim=1, linear=LinearPath.constant(np.eye(1, dtype=complex)),
         remainder=lambda z, t: -2.0 * np.asarray(z, dtype=complex))
     rep = F.class_n_check(bad)
-    assert not rep.passed and rep.witnesses
-    payload = rep.to_json_dict()
-    assert payload["passed"] is False and payload["witnesses"]
+    assert rep["passed"] is False and rep["witnesses"]
 
 
 def test_koebe_lower_sandwich_tight_on_real_axis(koebe):
@@ -102,7 +110,7 @@ def test_koebe_lower_sandwich_tight_on_real_axis(koebe):
 
 def test_growth_and_remainder_order(koebe):
     rep = F.growth_check(koebe, 0.5)
-    assert rep.passed
+    assert rep["passed"]
     assert F.remainder_order_check(koebe) < 1e-7
 
 

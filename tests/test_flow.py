@@ -102,9 +102,9 @@ def test_decay_bounds_hold_on_corpus(corpus):
         pts = F.SamplePlan(radii=(0.2, 0.5, 0.8), directions=16).states(
             fld.dim)
         rep = FL.decay_bounds_check(fld, 0.0, 1.5, pts, tol=1e-10)
-        assert rep.passed, (name, rep.min_lower_margin, rep.min_upper_margin)
-        payload = rep.to_json_dict()
-        assert payload["passed"] and payload["points"] == len(pts)
+        assert rep["passed"], (name, rep["min_lower_margin"],
+                               rep["min_upper_margin"])
+        assert rep["points"] == len(pts)
 
 
 def test_decay_bounds_reject_zero_points(koebe):

@@ -271,23 +271,22 @@ def test_ell_estimate_diagonal():
 def test_identity_satisfies_every_criterion():
     path = LinearPath.constant(np.eye(2, dtype=complex))
     rep = classify_hypotheses(path, np.linspace(0, 10, 101))
-    assert set(rep.verdicts) == set(CRITERIA)
-    assert all(v == VERDICT_SATISFIED for v in rep.verdicts.values())
-    assert rep.ell == pytest.approx(1.0, abs=1e-12)
-    d = rep.to_json_dict()
-    assert d["grid_size"] == 101 and not d["witnesses"]
+    assert set(rep["verdicts"]) == set(CRITERIA)
+    assert all(v == VERDICT_SATISFIED for v in rep["verdicts"].values())
+    assert rep["ell"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["grid_size"] == 101 and not rep["witnesses"]
 
 
 def test_diag_1_2_verdict_split():
     path = LinearPath.constant(np.diag([1.0, 2.0]).astype(complex))
     rep = classify_hypotheses(path, np.linspace(0, 10, 101))
     # 2 m(A) - abscissa = 0: the gap condition fails with a witness
-    assert rep.verdicts["constant_spectral_gap"] == VERDICT_VIOLATED
-    assert rep.witnesses["constant_spectral_gap"]
-    assert rep.verdicts["constant_positive_spectrum"] == VERDICT_SATISFIED
-    assert rep.verdicts["commuting_uniform_bunching"] == VERDICT_VIOLATED
-    assert rep.verdicts["general_bunching"] == VERDICT_SATISFIED
-    assert rep.ell == pytest.approx(2.0, abs=1e-12)
+    assert rep["verdicts"]["constant_spectral_gap"] == VERDICT_VIOLATED
+    assert rep["witnesses"]["constant_spectral_gap"]
+    assert rep["verdicts"]["constant_positive_spectrum"] == VERDICT_SATISFIED
+    assert rep["verdicts"]["commuting_uniform_bunching"] == VERDICT_VIOLATED
+    assert rep["verdicts"]["general_bunching"] == VERDICT_SATISFIED
+    assert rep["ell"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_time_varying_verdicts_are_grid_relative():
@@ -299,15 +298,15 @@ def test_time_varying_verdicts_are_grid_relative():
     # at sin t = -1; a grid that misses that time reports satisfied...
     coarse = np.linspace(0.0, 10.0, 1001)
     rep = classify_hypotheses(path, coarse)
-    assert rep.verdicts["commuting_uniform_bunching"] == VERDICT_SATISFIED
-    assert rep.verdicts["constant_spectral_gap"] == VERDICT_VIOLATED
+    assert rep["verdicts"]["commuting_uniform_bunching"] == VERDICT_SATISFIED
+    assert rep["verdicts"]["constant_spectral_gap"] == VERDICT_VIOLATED
     # ...and a grid that contains it reports violated
     hit = np.sort(np.append(coarse, 1.5 * np.pi))
     rep2 = classify_hypotheses(path, hit)
-    assert rep2.verdicts["commuting_uniform_bunching"] == VERDICT_VIOLATED
+    assert rep2["verdicts"]["commuting_uniform_bunching"] == VERDICT_VIOLATED
     # the finite-ratio condition still holds there (ratio exactly 2)
-    assert rep2.verdicts["general_bunching"] == VERDICT_SATISFIED
-    assert rep2.ell == pytest.approx(2.0, abs=1e-9)
+    assert rep2["verdicts"]["general_bunching"] == VERDICT_SATISFIED
+    assert rep2["ell"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_non_commuting_integrals_detected():
@@ -316,24 +315,24 @@ def test_non_commuting_integrals_detected():
 
     path = LinearPath.from_callable(2, A)
     rep = classify_hypotheses(path, np.linspace(0.0, 1.5, 61))
-    assert rep.verdicts["commuting_uniform_bunching"] == VERDICT_VIOLATED
-    assert rep.witnesses["commuting_uniform_bunching"]
+    assert rep["verdicts"]["commuting_uniform_bunching"] == VERDICT_VIOLATED
+    assert rep["witnesses"]["commuting_uniform_bunching"]
 
 
 def test_margin_below_grid_resolution_is_undecidable():
     eps = 0.5 * GRID_MARGIN
     path = LinearPath.constant(np.diag([1.0, 2.0 - eps]).astype(complex))
     rep = classify_hypotheses(path, np.linspace(0, 5, 11))
-    assert rep.verdicts["constant_spectral_gap"] == VERDICT_UNDECIDABLE
-    assert rep.verdicts["commuting_uniform_bunching"] == VERDICT_UNDECIDABLE
+    assert rep["verdicts"]["constant_spectral_gap"] == VERDICT_UNDECIDABLE
+    assert rep["verdicts"]["commuting_uniform_bunching"] == VERDICT_UNDECIDABLE
 
 
 def test_negative_mass_violates_everything_decidable():
     path = LinearPath.constant(-np.eye(1, dtype=complex))
     rep = classify_hypotheses(path, np.linspace(0, 2, 5))
-    assert rep.verdicts["general_bunching"] == VERDICT_VIOLATED
-    assert rep.verdicts["commuting_uniform_bunching"] == VERDICT_VIOLATED
-    assert rep.ell is None
+    assert rep["verdicts"]["general_bunching"] == VERDICT_VIOLATED
+    assert rep["verdicts"]["commuting_uniform_bunching"] == VERDICT_VIOLATED
+    assert rep["ell"] is None
 
 
 def test_classification_needs_two_grid_points():

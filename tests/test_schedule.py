@@ -159,9 +159,8 @@ def test_measured_contraction_inside_budget(identity_schedule):
     fld = F.builtin_field("constant-linear", {"dim": 2})
     rep = S.contraction_check(fld, identity_schedule, directions=8,
                               max_steps=3)
-    assert rep.passed, (rep.min_lower_margin, rep.min_upper_margin)
-    payload = rep.to_json_dict()
-    assert payload["passed"] is True
+    assert rep["passed"] is True, (rep["min_lower_margin"],
+                                   rep["min_upper_margin"])
 
 
 def test_periodic_mild_schedule_end_to_end(corpus_map):
@@ -169,4 +168,5 @@ def test_periodic_mild_schedule_end_to_end(corpus_map):
     sched = S.build_schedule(mild.linear, N=6)
     assert sched.accepted and sched.h == 2 and sched.ell < 2.0
     rep = S.contraction_check(mild, sched, directions=6, max_steps=4)
-    assert rep.passed, (rep.min_lower_margin, rep.min_upper_margin)
+    assert rep["passed"], (rep["min_lower_margin"],
+                           rep["min_upper_margin"])
