@@ -37,12 +37,20 @@ print("2. Hypothesis verdicts for three matrix paths")
 print("=" * 72)
 grid = np.linspace(0.0, 12.0, 2001)
 
+
+def periodic(ts):
+    """diag(1, 1 + 0.5 sin t) at every time of the array ts."""
+    As = np.zeros((ts.size, 2, 2), dtype=complex)
+    As[:, 0, 0] = 1.0
+    As[:, 1, 1] = 1.0 + 0.5 * np.sin(ts)
+    return As
+
+
 paths = [
     ("constant identity", LinearPath.constant(np.eye(2, dtype=complex))),
     ("constant diag(1, 2)", LinearPath.constant(
         np.diag([1.0, 2.0]).astype(complex))),
-    ("diag(1, 1 + 0.5 sin t)", LinearPath.from_callable(
-        2, lambda t: np.diag([1.0, 1.0 + 0.5 * np.sin(t)]).astype(complex))),
+    ("diag(1, 1 + 0.5 sin t)", LinearPath(2, periodic)),
 ]
 for label, path in paths:
     rep = classify_hypotheses(path, grid)

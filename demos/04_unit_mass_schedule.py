@@ -78,7 +78,7 @@ print()
 print("=" * 72)
 print("4. Measured per-step contraction sits inside [nu_n, mu]")
 print("=" * 72)
-rep = contraction_check(ident, sched, directions=16, max_steps=4)
+rep = contraction_check(ident, sched)
 print(f"  steps checked: {rep['steps']}, directions per step: "
       f"{rep['directions']}")
 print(f"  min lower margin {rep['min_lower_margin']:.3e}, "

@@ -51,7 +51,7 @@ print()
 print("=" * 72)
 print("3. Transport equation in t")
 print("=" * 72)
-res = ev.pde_residual(1.0, np.array([0.3 + 0.1j]), dt=1e-4)
+res = ev.pde_residual(1.0, np.array([0.3 + 0.1j]))
 print(f"  |d f_t / dt - (D f_t) h| ~ {res:.3e}  (central difference, "
       f"dt = 1e-4)")
 
@@ -59,9 +59,11 @@ print()
 print("=" * 72)
 print("4. Sampled image of f_1 with inclusion spot-checks")
 print("=" * 72)
-rs = ev.range_sample(1.0, radius=0.4, shells=2, directions=6)
+rs = ev.range_sample(1.0, radius=0.4, directions=6)
 mags = np.abs(rs.values[:, 0])
-print(f"  {rs.points.shape[0]} states on shells of radius 0.2 and 0.4")
+radii = sorted({round(float(r), 6) for r in np.abs(rs.points[:, 0])})
+print(f"  {rs.points.shape[0]} states on shells of radius "
+      f"{', '.join(f'{r:.4g}' for r in radii)}")
 print(f"  image moduli range: [{mags.min():.6f}, {mags.max():.6f}]")
 print(f"  worst inclusion residual: {rs.max_inclusion_residual():.3e}")
 print("  Each sampled image value is re-derived through the functional")

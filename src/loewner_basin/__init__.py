@@ -17,12 +17,12 @@ fields    admissible fields, built-in families, sampling checks,
 flow      the evolution operator and decay-bound verification
 schedule  unit-mass times, the mu/nu contraction budget and its
           per-step measurement
+chain     the normalized limit maps and their consistency checks
+cli       the ``loewner-basin`` command line tool
 
 Each check (``class_n_check``, ``gurganus_check``, ``growth_check``,
 ``decay_bounds_check``, ``contraction_check``, ``classify_hypotheses``)
 returns the JSON-ready dict its command prints.
-chain     the normalized limit maps and their consistency checks
-cli       the ``loewner-basin`` command line tool
 """
 
 from .chain import ChainEvaluator, ChainValue, RangeSample
@@ -37,7 +37,7 @@ from .fields import (C_of, FieldSpec, SamplePlan, builtin_corpus,
                      gurganus_check, load_field_file, parse_field_config,
                      remainder_order_check)
 from .flow import (FlowRequest, FlowResult, decay_bounds_check, evolve,
-                   flow_point, semigroup_defect, trace, trajectories)
+                   semigroup_defect, trace, trajectories)
 from .linear import (GRID_MARGIN, MAX_DIM, HermitianBounds,
                      InverseTransitionProduct, LinearPath,
                      classify_hypotheses, ell_estimate, hermitian_bounds,
@@ -58,9 +58,9 @@ __all__ = [
     "UnknownFamilyError", "build_schedule", "builtin_corpus",
     "builtin_field", "c_of", "class_n_check", "classify_hypotheses",
     "compute_times", "contraction_check", "decay_bounds_check",
-    "ell_estimate", "evolve", "flow_point", "growth_check", "gurganus_check",
-    "hermitian_bounds", "load_field_file",
-    "log_ratio_check", "operator_norm", "parse_field_config", "radius_for",
+    "ell_estimate", "evolve", "growth_check", "gurganus_check",
+    "hermitian_bounds", "load_field_file", "log_ratio_check",
+    "operator_norm", "parse_field_config", "radius_for",
     "remainder_order_check", "semigroup_defect", "spectral_abscissa",
     "trace", "trajectories", "transition_matrix", "__version__",
 ]

@@ -50,8 +50,11 @@ from .schedule import Schedule
 INCREMENT_FLOOR = 1e-13
 #: schedule steps an evaluation takes before it may declare convergence
 _MIN_STEPS = 2
-#: state step of the central differences in pde_residual
+#: time and state steps of the central differences in pde_residual
+_DT = 1e-4
 _DZ = 1e-5
+#: radius shells that range_sample draws its states on
+_SHELLS = 3
 #: start points of range_sample whose inclusion is spot-checked
 _SPOT_CHECKS = 3
 
@@ -131,6 +134,14 @@ class ChainEvaluator:
 
     # -- evaluation ------------------------------------------------------
 
+    def _check_horizon(self, t: float) -> None:
+        """Refuse a map time past the schedule horizon u_N."""
+        u_N = self.schedule.u[-1]
+        if t > u_N:
+            raise HorizonExhaustedError(
+                f"time {t} exceeds the schedule horizon u_N = {u_N:.6g}; "
+                "rebuild the schedule with a larger N")
+
     def eval(self, t: float, z) -> ChainValue:
         """Limit map at time t applied to one state z, |z| < 1: the
         one-row case of ``eval_many``."""
@@ -151,10 +162,7 @@ class ChainEvaluator:
         N = self.schedule.horizon_N
         (t,) = _check_times(t)
         W = _check_points(points, self.field.dim).copy()
-        if t > u[N]:
-            raise HorizonExhaustedError(
-                f"time {t} exceeds the schedule horizon u_N = {u[N]:.6g}; "
-                "rebuild the schedule with a larger N")
+        self._check_horizon(t)
         m0 = bisect_left(u, t)
         out = [ChainValue(value=np.zeros(self.field.dim, dtype=complex),
                           m_used=m0, last_increment=0.0, converged=True,
@@ -203,7 +211,9 @@ class ChainEvaluator:
     # -- consistency checks ----------------------------------------------
 
     def _inclusion_residuals(self, s: float, t: float, pts) -> list[float]:
-        """Relative defect of f_s(z) = f_t(phi_{s,t}(z)) per row z."""
+        """Relative defect of f_s(z) = f_t(phi_{s,t}(z)) per row z; a time
+        t past the horizon is refused before any integration."""
+        self._check_horizon(t)
         left = self.eval_many(s, pts)
         right = self.eval_many(t, _evolve_one(self.field, s, t, pts,
                                               self.tol_ode)[0])
@@ -217,22 +227,22 @@ class ChainEvaluator:
         z = _check_points(z, self.field.dim, single=True)
         return self._inclusion_residuals(s, t, z)[0]
 
-    def pde_residual(self, t: float, z, dt: float = 1e-4) -> float:
+    def pde_residual(self, t: float, z) -> float:
         """Relative defect of d/dt f_t(z) = Df_t(z) h(z, t).
 
-        Time derivative by central difference over [t - dt, t + dt]
-        (one-sided at t < dt); state derivative by central differences
-        along each coordinate, legitimate since the maps are
-        holomorphic in z.
+        Time derivative by central difference over [t - dt, t + dt],
+        dt = 1e-4 (one-sided at t < dt); state derivative by central
+        differences of step 1e-5 along each coordinate, legitimate since
+        the maps are holomorphic in z.
         """
         (t,) = _check_times(t)
         z = _check_points(z, self.field.dim, single=True)[0]
         q = self.field.dim
-        f_plus = self.eval(t + dt, z).value
-        if t >= dt:
-            df_dt = (f_plus - self.eval(t - dt, z).value) / (2.0 * dt)
+        f_plus = self.eval(t + _DT, z).value
+        if t >= _DT:
+            df_dt = (f_plus - self.eval(t - _DT, z).value) / (2.0 * _DT)
         else:
-            df_dt = (f_plus - self.eval(t, z).value) / dt
+            df_dt = (f_plus - self.eval(t, z).value) / _DT
         step = _DZ * np.eye(q, dtype=complex)
         f = np.array([cv.value for cv in self.eval_many(
             t, np.concatenate([z + step, z - step]))])
@@ -243,15 +253,15 @@ class ChainEvaluator:
                      / (1.0 + np.linalg.norm(transport)))
 
     def range_sample(self, t: float, *, radius: float = 0.5,
-                     shells: int = 3, directions: int = 8,
-                     seed: int = 0) -> "RangeSample":
-        """Sample the time-t limit map over shells in |z| <= radius.
+                     directions: int = 8, seed: int = 0) -> "RangeSample":
+        """Sample the time-t limit map over three equally spaced shells
+        in |z| <= radius.
 
         Also spot-checks the inclusion of earlier images: each checked
         point verifies f_0(z) = f_t(phi_{0,t}(z)), which is what makes
         the image domains increase with t.
         """
-        radii = tuple(radius * (k + 1) / shells for k in range(shells))
+        radii = tuple(radius * (k + 1) / _SHELLS for k in range(_SHELLS))
         pts = SamplePlan(radii=radii, directions=directions,
                          seed=seed).states(self.field.dim)
         values = self.eval_many(t, pts)

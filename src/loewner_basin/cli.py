@@ -363,8 +363,7 @@ def _cmd_analyze(args, field: FieldSpec) -> tuple[dict, int, dict]:
                              if grid[0] <= b <= grid[-1]])
     class_n = class_n_check(field, plan)
     sandwich = gurganus_check(field, plan)
-    growth = growth_check(field, 0.5, times, directions=min(args.directions,
-                                                            512),
+    growth = growth_check(field, times, directions=min(args.directions, 512),
                           seed=args.seed)
     hypotheses = classify_hypotheses(field.linear, grid)
     result = {
@@ -470,7 +469,7 @@ def _cmd_verify(args, field: FieldSpec) -> tuple[dict, int, dict]:
     plan = SamplePlan(directions=256, seed=args.seed)
     checks = {"class_n": class_n_check(field, plan),
               "sandwich": gurganus_check(field, plan),
-              "growth": growth_check(field, 0.5, seed=args.seed)}
+              "growth": growth_check(field, seed=args.seed)}
     order = remainder_order_check(field)
     checks["remainder_order"] = {"jacobian_norm": order,
                                  "passed": order <= 1e-6}
@@ -497,8 +496,7 @@ def _cmd_verify(args, field: FieldSpec) -> tuple[dict, int, dict]:
 
     if sched is not None and sched.accepted:
         checks["contraction"] = contraction_check(
-            field, sched, directions=8, seed=args.seed, tol=args.tol_ode,
-            max_steps=min(6, sched.horizon_N))
+            field, sched, seed=args.seed, tol=args.tol_ode)
         if sched.h == 2:
             ev = ChainEvaluator(field, sched, tol_chain=args.tol_chain,
                                 tol_ode=args.tol_ode)

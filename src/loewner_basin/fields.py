@@ -16,7 +16,7 @@ this module provides:
   ``gurganus_check`` (the sandwich c(|z|) Re<A z, z> <= Re<h, z> <=
   C(|z|) Re<A z, z> with c(r) = (1 - r)/(1 + r), C(r) = 1/c(r)), and
   ``growth_check`` (|h(z, t)| <= 4 r / (1 - r)^2 * ||A(t)|| on
-  |z| <= r), each returning the JSON-ready dict its command prints:
+  |z| <= r = 0.5), each returning the JSON-ready dict its command prints:
   the least margins, ``passed`` and at most 16 (z, t, value) witnesses;
 * a strict JSON file format for custom polynomial fields (unknown
   keys rejected) via ``load_field_file``, whose number and entry rules
@@ -50,6 +50,11 @@ INEQUALITY_SLACK = -1e-10
 _REAL_TYPES = (int, float, np.integer, np.floating)
 #: most directions per shell a SamplePlan may draw
 MAX_DIRECTIONS = 65_536
+#: outer shell radius of growth_check
+_GROWTH_RADIUS = 0.5
+#: times and the two Richardson steps of remainder_order_check
+_ORDER_TIMES = (0.0, 1.0)
+_ORDER_STEPS = (1e-3, 5e-4)
 
 
 def c_of(r: float) -> float:
@@ -139,9 +144,6 @@ class FieldSpec:
             raise InvalidInputError("linear part dimension mismatch")
         self.breakpoints = tuple(sorted(set(self.breakpoints)
                                         | set(self.linear.breakpoints)))
-
-    def A(self, t: float) -> np.ndarray:
-        return self.linear.A(t)
 
     def h(self, z: np.ndarray, t) -> np.ndarray:
         """Evaluate the field; z has shape (q,) or (..., q), and t is one
@@ -453,14 +455,15 @@ def gurganus_check(field: FieldSpec, plan: SamplePlan | None = None) -> dict:
             "witnesses": witnesses}
 
 
-def growth_check(field: FieldSpec, r: float, times=(0.0, 0.5, 1.0, 2.0),
+def growth_check(field: FieldSpec, times=(0.0, 0.5, 1.0, 2.0),
                  *, directions: int = 512, seed: int = 0) -> dict:
     """Verify |h(z, t)| <= 4 r (1 - r)^-2 ||A(t)|| at shells of radius up
-    to r (0 < r < 1).
+    to r = 0.5.
 
     Returns {"samples", "radius", "min_slack", "passed", "witnesses"}:
     the slack is bound - |h| and must stay >= -1e-10 on every sample.
     """
+    r = _GROWTH_RADIUS
     plan = SamplePlan(radii=(0.25 * r, 0.5 * r, 0.75 * r, r),
                       directions=directions, times=tuple(times), seed=seed)
     Z = plan.states(field.dim)
@@ -475,18 +478,18 @@ def growth_check(field: FieldSpec, r: float, times=(0.0, 0.5, 1.0, 2.0),
             "witnesses": witnesses}
 
 
-def remainder_order_check(field: FieldSpec, times=(0.0, 1.0),
-                          steps=(1e-3, 5e-4)) -> float:
-    """Richardson estimate of the remainder's Jacobian norm at 0.
+def remainder_order_check(field: FieldSpec) -> float:
+    """Richardson estimate of the remainder's Jacobian norm at 0, from
+    central differences of steps 1e-3 and 5e-4.
 
     The remainder must vanish to second order, so the extrapolated
     Jacobian should be numerically zero (<= 1e-6 for valid fields).
-    Returns the largest norm over the given times.
+    Returns the largest norm over the times 0 and 1.
     """
     q = field.dim
     eye = np.eye(q, dtype=complex)
     worst = 0.0
-    d1, d2 = steps
+    d1, d2 = _ORDER_STEPS
 
     def jac(dd, t):
         cols = [(field.remainder(dd * eye[j], t)
@@ -494,7 +497,7 @@ def remainder_order_check(field: FieldSpec, times=(0.0, 1.0),
                 for j in range(q)]
         return np.stack(cols, axis=1)
 
-    for t in times:
+    for t in _ORDER_TIMES:
         J = (4.0 * jac(d2, t) - jac(d1, t)) / 3.0
         worst = max(worst, float(np.linalg.norm(J)))
     return worst

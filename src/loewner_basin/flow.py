@@ -9,11 +9,12 @@ Positivity of Re<h(w), w> makes |w(tau)| strictly decrease, so the
 trajectory never leaves the ball and the two-parameter family composes:
 phi_{s,t} = phi_{u,t} o phi_{s,u} for s <= u <= t, and phi_{s,s} = id.
 
-This module evolves a block of points with one call of the adaptive
-embedded Runge-Kutta integrator, whose rows step independently, so each
-result is independent of batch composition; ``trajectories`` records
-every accepted step of that same call.  It exposes the composition
-defect, verifies the two-sided modulus decay estimate
+This module evolves a block of points (one state is a block of one
+row) with one call of the adaptive embedded Runge-Kutta integrator,
+whose rows step independently, so each result is independent of batch
+composition; ``trajectories`` records every accepted step of that same
+call.  It exposes the composition defect, verifies the two-sided
+modulus decay estimate
 
     exp(-C(r0) * K(s,t)) <= |phi_{s,t}(z)| / |z| <= exp(-c(r0) * M(s,t))
 
@@ -47,13 +48,15 @@ def _check_times(*times) -> tuple[float, ...]:
 
 
 def _check_points(points, dim: int, *, single: bool = False) -> np.ndarray:
-    """States as a complex (n, dim) array: finite and inside the open unit
-    ball; ``single`` requires n = 1 (a state of shape (dim,) or (1, dim))."""
+    """States as a complex (n, dim) array with n >= 1: finite and inside
+    the open unit ball; ``single`` requires n = 1 (a state of shape
+    (dim,) or (1, dim))."""
     pts = as_complex_array(points, "points")
     if pts.ndim == 1:
         pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != dim or single and pts.shape[0] != 1:
-        want = f"({dim},)" if single else f"(n, {dim})"
+    if (pts.ndim != 2 or pts.shape[1] != dim or not pts.shape[0]
+            or single and pts.shape[0] != 1):
+        want = f"({dim},)" if single else f"(n, {dim}) with n >= 1"
         raise InvalidInputError(
             f"points must have shape {want}, got {np.shape(points)}")
     if not np.all(np.isfinite(pts.view(float))):
@@ -117,13 +120,6 @@ def evolve(request: FlowRequest) -> FlowResult:
                                 request.points, request.tol)
     images.setflags(write=False)
     return FlowResult(images=images, **vars(stats))
-
-
-def flow_point(field: FieldSpec, s: float, t: float, z, tol: float = 1e-10
-               ) -> np.ndarray:
-    """Evolve a single state z (shape (dim,)) through [s, t]."""
-    req = FlowRequest(field=field, s=s, t=t, points=z, tol=tol)
-    return evolve(req).images[0]
 
 
 def trajectories(request: FlowRequest

@@ -219,7 +219,7 @@ class LinearPath:
     """A validated time-dependent linear part t -> A(t) on [0, inf).
 
     ``evaluate`` maps a 1-D array of n times to the stacked matrices
-    A(t), shape (n, q, q); ``from_callable`` adapts a scalar A(t).
+    A(t), shape (n, q, q).
     ``masses(a, b)`` integrates the Hermitian-part bounds m(A) and k(A)
     over [a, b] by adaptive Gauss-Kronrod quadrature that never
     straddles a declared breakpoint; M(t) and K(t) are the integrals
@@ -246,16 +246,6 @@ class LinearPath:
         mk = hermitian_bounds(A)
         path._const = (A, mk.m, mk.k)
         return path
-
-    @classmethod
-    def from_callable(cls, dim: int, fn: Callable[[float], np.ndarray],
-                      *, breakpoints=(), quad_tol: float = 1e-10) -> "LinearPath":
-        """Path from a scalar evaluator fn(t) -> (q, q), called once per
-        time and stacked."""
-        def evaluate(ts):
-            return np.stack([validate_matrix(fn(float(t))) for t in ts])
-
-        return cls(dim, evaluate, breakpoints=breakpoints, quad_tol=quad_tol)
 
     @property
     def is_constant(self) -> bool:

@@ -46,6 +46,9 @@ _MAX_ROOT_ITERS = 200
 _MAX_TIME = 1e6
 #: uniform grid points on [0, u_N] over which build_schedule measures ell
 _ELL_GRID = 4097
+#: shell directions and most schedule steps that contraction_check evolves
+_CONTRACTION_DIRECTIONS = 8
+_CONTRACTION_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,7 @@ class Schedule:
         }
 
 
-def compute_times(path: LinearPath, N: int, tol: float = 1e-10,
-                  max_time: float = _MAX_TIME) -> tuple:
+def compute_times(path: LinearPath, N: int, tol: float = 1e-10) -> tuple:
     """Solve M(u_n) = n for n = 0..N.
 
     Brackets each time by doubling past the previous one, then closes
@@ -110,7 +112,7 @@ def compute_times(path: LinearPath, N: int, tol: float = 1e-10,
     bracket collapses to relative width 1e-15.  Each query integrates
     from the bracket's lower end, whose residual M - n is carried.
     Raises HorizonExhaustedError when the mass M cannot reach N before
-    ``max_time`` (the field stops contracting too early), and
+    t = 1e6 (the field stops contracting too early), and
     NumericalFailureError when 200 iterations leave a time unconverged.
     """
     if N < 1:
@@ -129,11 +131,11 @@ def compute_times(path: LinearPath, N: int, tol: float = 1e-10,
             lo, flo = hi, fhi
             step *= 2.0
             hi = start + step
-            if hi > max_time or doublings > _MAX_BRACKET_DOUBLINGS:
-                reached = n + flo + path.masses(lo, min(hi, max_time))[0]
+            if hi > _MAX_TIME or doublings > _MAX_BRACKET_DOUBLINGS:
+                reached = n + flo + path.masses(lo, min(hi, _MAX_TIME))[0]
                 raise HorizonExhaustedError(
-                    f"mass integral reaches only {reached:.6g}"
-                    f" < {n} before t = {max_time:g}; cannot place time u_{n}")
+                    f"mass integral reaches only {reached:.6g} < {n} before "
+                    f"t = {_MAX_TIME:g}; cannot place time u_{n}")
             fhi = flo + path.masses(lo, hi)[0]
             doublings += 1
         u, f_u = hi, fhi
@@ -238,12 +240,12 @@ def log_ratio_check(path: LinearPath, schedule: Schedule) -> float:
     return float(worst)
 
 
-def contraction_check(field, schedule: Schedule, *, directions: int = 32,
-                      seed: int = 0, tol: float = 1e-10,
-                      max_steps: int | None = None) -> dict:
-    """Evolve shell states of modulus r through each schedule step and
-    compare measured ratios |phi(z)| / |z| with the sandwich
-    [nu_n * (1 - slack), mu * (1 + slack)], slack = 100 * tol + 1e-9.
+def contraction_check(field, schedule: Schedule, *, seed: int = 0,
+                      tol: float = 1e-10) -> dict:
+    """Evolve 8 shell states of modulus r through each of the first
+    min(6, N) schedule steps and compare measured ratios |phi(z)| / |z|
+    with the sandwich [nu_n * (1 - slack), mu * (1 + slack)],
+    slack = 100 * tol + 1e-9.
 
     The field's linear part must be the path the schedule was built
     from; states start on the working-radius shell.  Returns {"steps",
@@ -254,11 +256,11 @@ def contraction_check(field, schedule: Schedule, *, directions: int = 32,
     """
     from .flow import FlowRequest, evolve  # local import to avoid a cycle
 
-    shell = SamplePlan(radii=(schedule.r,), directions=directions,
+    shell = SamplePlan(radii=(schedule.r,),
+                       directions=_CONTRACTION_DIRECTIONS,
                        seed=seed).states(field.dim)
     slack = 100.0 * tol + 1e-9
-    n_steps = schedule.horizon_N if max_steps is None \
-        else min(max_steps, schedule.horizon_N)
+    n_steps = min(_CONTRACTION_STEPS, schedule.horizon_N)
     min_lo = math.inf
     min_hi = math.inf
     witnesses = []
@@ -277,7 +279,7 @@ def contraction_check(field, schedule: Schedule, *, directions: int = 32,
                 else int(np.argmax(ratios))
             witnesses.append({"step": n, "ratio": float(ratios[bad]),
                               "lower": lower, "upper": upper})
-    return {"steps": n_steps, "directions": directions,
+    return {"steps": n_steps, "directions": _CONTRACTION_DIRECTIONS,
             "min_lower_margin": min_lo, "min_upper_margin": min_hi,
             "passed": min_lo >= 0.0 and min_hi >= 0.0,
             "witnesses": witnesses[:16]}

@@ -128,9 +128,8 @@ def test_criterion_05_schedule_constants(capsys):
         u = S.compute_times(ident, 8, tol=1e-11)
         assert max(abs(un - n) for n, un in enumerate(u)) <= 1e-10
         # growing mass 1 + t: first time solves u^2 + 2u - 2 = 0
-        grow = LinearPath.from_callable(
-            1, lambda t: np.array([[1.0 + t]], dtype=complex),
-            quad_tol=1e-12)
+        grow = LinearPath(1, lambda ts: (1.0 + ts)[:, None, None] + 0j,
+                          quad_tol=1e-12)
         ug = S.compute_times(grow, 2, tol=1e-11)
         assert abs(ug[1] - (math.sqrt(3.0) - 1.0)) <= 1e-10
         # ratio-one budget: the radius solves ((1+r)/(1-r))^2 = 3/2,
@@ -201,7 +200,7 @@ def test_criterion_09_transport_residual(capsys, chain_for):
         for k, name in enumerate(CHAIN_FIELD_NAMES):
             ev = chain_for(name)
             z = 0.3 * unit_directions(ev.field.dim, 1, seed=90 + k)[0]
-            worst = max(worst, ev.pde_residual(0.5, z, dt=1e-4))
+            worst = max(worst, ev.pde_residual(0.5, z))
         assert worst <= 1e-4, worst
 
 

@@ -133,7 +133,7 @@ def test_functional_identity_residual(chain_for):
 
 def test_transport_residual(chain_for):
     ev = chain_for("koebe-1d")
-    assert ev.pde_residual(1.0, np.array([0.3 + 0j]), dt=1e-4) < 1e-4
+    assert ev.pde_residual(1.0, np.array([0.3 + 0j])) < 1e-4
 
 
 def test_every_intended_corpus_field_admits_a_chain(chain_for, corpus_map):
@@ -178,6 +178,24 @@ def test_eval_guards(chain_for):
         ev.eval(float("nan"), z)
 
 
+def test_past_horizon_is_refused_before_integrating(monkeypatch):
+    # identity_residual refuses t > u_N with eval_many's reason, without
+    # marching at s or evolving over [s, t] first
+    field = F.builtin_field("constant-linear", {"matrix": [[8]]})
+    ev = CH.ChainEvaluator(field, S.build_schedule(field.linear, N=3))
+    legs = []
+    evolve_one = CH._evolve_one
+    monkeypatch.setattr(CH, "_evolve_one",
+                        lambda *a, **k: legs.append(a) or evolve_one(*a, **k))
+    with pytest.raises(HorizonExhaustedError) as refused:
+        ev.identity_residual(0.0, 1.0, np.array([0.4 + 0j]))
+    assert legs == [] and ev._factors is None
+    with pytest.raises(HorizonExhaustedError) as direct:
+        ev.eval_many(1.0, np.array([[0.4 + 0j]]))
+    assert str(refused.value) == str(direct.value)
+    assert "exceeds the schedule horizon u_N = 0.375" in str(refused.value)
+
+
 def test_horizon_extension_is_stable(chain_for):
     a = chain_for("koebe-1d", 30).eval(0.5, np.array([0.45 + 0j]))
     b = chain_for("koebe-1d", 35).eval(0.5, np.array([0.45 + 0j]))
@@ -187,9 +205,9 @@ def test_horizon_extension_is_stable(chain_for):
 
 def test_range_sample_converges_and_nests(chain_for):
     ev = chain_for("koebe-1d")
-    rs = ev.range_sample(1.0, radius=0.4, shells=2, directions=4)
+    rs = ev.range_sample(1.0, radius=0.4, directions=4)
     assert rs.converged
-    assert rs.values.shape == (8, 1)
+    assert rs.values.shape == (12, 1)
     assert rs.max_inclusion_residual() < 1e-7
 
 
@@ -273,7 +291,7 @@ def test_one_transition_call_per_evaluator(monkeypatch):
     ev = CH.ChainEvaluator(field, S.build_schedule(field.linear, N=20))
     ev.eval_many(0.3, np.array([[0.2, 0.1j], [0.0, 0.4]]))
     ev.pde_residual(0.5, np.array([0.1, 0.2j]))
-    ev.range_sample(0.4, shells=1, directions=2)
+    ev.range_sample(0.4, directions=2)
     assert len(calls) == 1
     s, t = calls[0]
     assert np.shape(s) == np.shape(t) == (20,)

@@ -32,10 +32,9 @@ PLAN = F.SamplePlan(radii=(0.3, 0.6), directions=16, times=(0.0, 1.0))
 @pytest.mark.parametrize("check", [
     lambda: F.class_n_check(OUTWARD, PLAN),
     lambda: F.gurganus_check(OUTWARD, PLAN),
-    lambda: F.growth_check(STEEP, 0.5, directions=16),
+    lambda: F.growth_check(STEEP, directions=16),
     lambda: FL.decay_bounds_check(SLOW, 0.0, 2.0, SHELLS),
-    lambda: S.contraction_check(SLOW, S.build_schedule(IDENTITY, N=4),
-                                directions=4, max_steps=3),
+    lambda: S.contraction_check(SLOW, S.build_schedule(IDENTITY, N=4)),
 ], ids=["class_n", "sandwich", "growth", "decay", "contraction"])
 def test_failing_check_reports_json_witnesses(check):
     result = check()

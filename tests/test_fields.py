@@ -35,15 +35,16 @@ def test_koebe_field_values(koebe):
 
 def test_default_diagonal_periodic_matrix(corpus_map):
     dp = corpus_map["diagonal-periodic"]
-    assert np.allclose(dp.A(1.3), np.diag([1.0, 1.0 + 0.5 * np.sin(1.3)]))
+    assert np.allclose(dp.linear.A(1.3),
+                       np.diag([1.0, 1.0 + 0.5 * np.sin(1.3)]))
 
 
 def test_constant_linear_accepts_dim_or_matrix():
     by_dim = F.builtin_field("constant-linear", {"dim": 3})
-    assert np.allclose(by_dim.A(0.0), np.eye(3))
+    assert np.allclose(by_dim.linear.A(0.0), np.eye(3))
     by_matrix = F.builtin_field("constant-linear",
                                 {"matrix": [[2, 0], [0, 3]]})
-    assert np.allclose(by_matrix.A(5.0), np.diag([2.0, 3.0]))
+    assert np.allclose(by_matrix.linear.A(5.0), np.diag([2.0, 3.0]))
 
 
 def test_corpus_names_and_membership(corpus):
@@ -109,7 +110,7 @@ def test_koebe_lower_sandwich_tight_on_real_axis(koebe):
 
 
 def test_growth_and_remainder_order(koebe):
-    rep = F.growth_check(koebe, 0.5)
+    rep = F.growth_check(koebe)
     assert rep["passed"]
     assert F.remainder_order_check(koebe) < 1e-7
 
@@ -162,12 +163,13 @@ def test_config_parse_and_evaluate():
     fs = F.parse_field_config(CFG)
     assert fs.dim == 2 and fs.family_tag == "custom"
     assert 1.0 in fs.breakpoints and 2.5 in fs.breakpoints
-    assert np.allclose(fs.A(0.5), [[1, 0], [0, 2]])
+    assert np.allclose(fs.linear.A(0.5), [[1, 0], [0, 2]])
     t = 3.0
-    assert np.allclose(fs.A(t), [[1, 0], [0, 1 + 0.5 * np.sin(2 * t)]])
+    assert np.allclose(fs.linear.A(t),
+                       [[1, 0], [0, 1 + 0.5 * np.sin(2 * t)]])
     z = np.array([0.1 + 0.05j, -0.2 + 0.1j])
     profile = 1.0 + 0.5 * np.sin(t)
-    want = fs.A(t) @ z + np.array(
+    want = fs.linear.A(t) @ z + np.array(
         [0.25 * z[1] ** 2, 0.1j * profile * z[0] * z[1]])
     assert np.allclose(fs.h(z, t), want)
 

@@ -4,7 +4,7 @@ escape and validation guards."""
 import numpy as np
 import pytest
 
-from loewner_basin import _integrate
+from loewner_basin import ChainEvaluator, _integrate, build_schedule
 from loewner_basin import fields as F
 from loewner_basin import flow as FL
 from loewner_basin.errors import (EscapeError, InvalidInputError,
@@ -51,18 +51,20 @@ def test_constant_diagonal_flow_is_exponential():
 
 
 def test_time_varying_scalar_flow():
-    path = LinearPath.from_callable(
-        1, lambda t: np.array([[1.0 + t]], dtype=complex))
+    path = LinearPath(1, lambda ts: (1.0 + ts)[:, None, None] + 0j)
     fld = F.FieldSpec(dim=1, linear=path, remainder=F._zero_remainder)
-    w = FL.flow_point(fld, 0.0, 1.0, np.array([0.4 + 0j]), tol=1e-12)
+    w = FL.evolve(FL.FlowRequest(field=fld, s=0.0, t=1.0,
+                                 points=np.array([0.4 + 0j]),
+                                 tol=1e-12)).images[0]
     assert abs(w[0] - 0.4 * np.exp(-1.5)) < 1e-12
 
 
 def test_koebe_flow_matches_conjugated_closed_form(koebe):
     for z0 in (0.45, -0.45, 0.3 + 0.2j, -0.1 - 0.35j):
         for t in (0.5, 1.0, 3.0):
-            got = FL.flow_point(koebe, 0.0, t,
-                                np.array([z0], dtype=complex), tol=1e-12)[0]
+            got = FL.evolve(FL.FlowRequest(
+                field=koebe, s=0.0, t=t, points=np.array([z0], dtype=complex),
+                tol=1e-12)).images[0, 0]
             want = complex(
                 _koebe_K_inv(np.exp(-t) * _koebe_K(np.asarray(z0, complex))))
             assert abs(got - want) < 5e-12, (z0, t)
@@ -130,8 +132,10 @@ def test_scalar_flow_second_order_oracle():
     fld = F.builtin_field("quadratic-perturbation",
                           {"dim": 1, "epsilon": 1.0})
     d = 1e-3
-    fp = FL.flow_point(fld, 0.0, 1.0, np.array([d + 0j]), tol=1e-13)[0]
-    fm = FL.flow_point(fld, 0.0, 1.0, np.array([-d + 0j]), tol=1e-13)[0]
+    fp, fm = (FL.evolve(FL.FlowRequest(field=fld, s=0.0, t=1.0,
+                                       points=np.array([z + 0j]),
+                                       tol=1e-13)).images[0, 0]
+              for z in (d, -d))
     assert abs((fp + fm) / (2 * d * d) - (np.exp(-2) - np.exp(-1))) < 1e-5
 
 
@@ -144,7 +148,8 @@ def test_trace_endpoints_and_monotonicity(koebe):
                              tol=1e-10)
     assert times[0] == 0.0 and times[-1] == 2.0
     assert all(b > a for a, b in zip(times, times[1:]))
-    end = FL.flow_point(koebe, 0.0, 2.0, np.array([0.5 + 0j]))
+    end = FL.evolve(FL.FlowRequest(field=koebe, s=0.0, t=2.0,
+                                   points=np.array([0.5 + 0j]))).images[0]
     assert abs(states[-1][0] - end[0]) < 1e-12
 
 
@@ -169,7 +174,8 @@ def test_outward_field_escape_detected():
     path = LinearPath.constant(-np.eye(1, dtype=complex))
     bad = F.FieldSpec(dim=1, linear=path, remainder=F._zero_remainder)
     with pytest.raises(EscapeError) as exc:
-        FL.flow_point(bad, 0.0, 2.0, np.array([0.9 + 0j]))
+        FL.evolve(FL.FlowRequest(field=bad, s=0.0, t=2.0,
+                                 points=np.array([0.9 + 0j])))
     assert 0.0 < exc.value.t < 0.2
 
 
@@ -285,9 +291,23 @@ def test_rows_step_as_they_would_alone(monkeypatch):
             assert stats.rhs_evaluations == sum(a[1].rhs_evaluations
                                                 for a in alone)
 
-    # zero rows give an empty image block
+    # zero rows give an empty image block (requests refuse them, see
+    # test_empty_point_blocks_are_refused)
     qp2 = cases[1][0]
-    res = FL.evolve(FL.FlowRequest(field=qp2, s=0.0, t=1.0,
-                                   points=np.zeros((0, 2))))
-    assert res.images.shape == (0, 2)
-    assert (res.steps_taken, res.rhs_evaluations) == (0, 0)
+    images, stats = FL._evolve_one(qp2, 0.0, 1.0, np.zeros((0, 2)), 1e-10)
+    assert images.shape == (0, 2)
+    assert (stats.steps_taken, stats.rhs_evaluations) == (0, 0)
+
+
+def test_empty_point_blocks_are_refused(koebe):
+    # an empty block would pass every check vacuously
+    none = np.zeros((0, 1))
+    with pytest.raises(InvalidInputError, match="n >= 1"):
+        FL.FlowRequest(field=koebe, s=0.0, t=1.0, points=none)
+    with pytest.raises(InvalidInputError, match="n >= 1"):
+        FL.decay_bounds_check(koebe, 0.0, 1.0, none)
+    with pytest.raises(InvalidInputError, match="n >= 1"):
+        FL.semigroup_defect(koebe, 0.0, 0.5, 1.0, none)
+    ev = ChainEvaluator(koebe, build_schedule(koebe.linear, N=2))
+    with pytest.raises(InvalidInputError, match="n >= 1"):
+        ev.eval_many(0.5, none)

@@ -161,8 +161,8 @@ def test_constant_path_mass_integrals_exact():
 
 
 def test_callable_path_mass_integrals():
-    path = LinearPath.from_callable(
-        1, lambda t: np.array([[1.0 + t]], dtype=complex), quad_tol=1e-12)
+    path = LinearPath(
+        1, lambda ts: (1.0 + ts)[:, None, None] + 0j, quad_tol=1e-12)
     assert not path.is_constant
     # M(t) = K(t) = t + t^2/2
     for t in (0.5, 1.0, 3.7):
@@ -176,8 +176,8 @@ def test_callable_path_mass_integrals():
 
 def test_masses_match_cumulative_differences():
     tol = 1e-12
-    path = LinearPath.from_callable(
-        1, lambda t: np.array([[1.0 + t]], dtype=complex), quad_tol=tol)
+    path = LinearPath(
+        1, lambda ts: (1.0 + ts)[:, None, None] + 0j, quad_tol=tol)
     for a, b in ((0.0, 0.5), (0.3, 0.3), (1.25, 3.7), (2.0, 9.0)):
         dm, dk = path.masses(a, b)
         assert abs(dm - (path.M(b) - path.M(a))) <= 3 * tol
@@ -214,11 +214,19 @@ def test_constant_path_copies_callers_matrix():
 
 
 def test_path_breakpoints_preserved():
-    path = LinearPath.from_callable(
-        1, lambda t: np.array([[1.0 if t < 1.0 else 2.0]], dtype=complex),
+    path = LinearPath(
+        1, lambda ts: np.where(ts < 1.0, 1.0, 2.0)[:, None, None] + 0j,
         breakpoints=(1.0,))
     assert path.breakpoints == (1.0,)
     assert path.M(2.0) == pytest.approx(3.0, abs=1e-9)
+
+
+def _upper_triangular(ts, a, d, b):
+    """The stack [[a, b], [0, d]] over the times ts; each entry is a
+    number or an array over ts."""
+    As = np.zeros((ts.size, 2, 2), dtype=complex)
+    As[:, 0, 0], As[:, 1, 1], As[:, 0, 1] = a, d, b
+    return As
 
 
 def _trig_path(q: int, seed: int):
@@ -236,8 +244,8 @@ def test_bounds_many_bit_identical_to_per_time_bounds():
     rng = np.random.default_rng(5)
     ts = rng.uniform(0.0, 20.0, 64)
     paths = [_trig_path(8, 1)[0], _trig_path(2, 2)[0],
-             LinearPath.from_callable(
-                 2, lambda t: np.array([[1.0, t], [0.0, 2.0 + math.sin(t)]]))]
+             LinearPath(2, lambda ts: _upper_triangular(
+                 ts, 1.0, 2.0 + np.sin(ts), ts))]
     for path in paths:
         single = np.array([path.bounds(t) for t in ts])
         assert np.array_equal(
@@ -290,10 +298,8 @@ def test_diag_1_2_verdict_split():
 
 
 def test_time_varying_verdicts_are_grid_relative():
-    def A(t):
-        return np.diag([1.0, 1.0 + 0.5 * np.sin(t)]).astype(complex)
-
-    path = LinearPath.from_callable(2, A)
+    path = LinearPath(2, lambda ts: _upper_triangular(
+        ts, 1.0, 1.0 + 0.5 * np.sin(ts), 0.0))
     # the uniform-margin condition 2m >= k + delta degenerates exactly
     # at sin t = -1; a grid that misses that time reports satisfied...
     coarse = np.linspace(0.0, 10.0, 1001)
@@ -310,10 +316,7 @@ def test_time_varying_verdicts_are_grid_relative():
 
 
 def test_non_commuting_integrals_detected():
-    def A(t):
-        return np.array([[1.0, t], [0.0, 1.0]], dtype=complex)
-
-    path = LinearPath.from_callable(2, A)
+    path = LinearPath(2, lambda ts: _upper_triangular(ts, 1.0, 1.0, ts))
     rep = classify_hypotheses(path, np.linspace(0.0, 1.5, 61))
     assert rep["verdicts"]["commuting_uniform_bunching"] == VERDICT_VIOLATED
     assert rep["witnesses"]["commuting_uniform_bunching"]
@@ -362,8 +365,7 @@ def test_transition_matrix_non_normal_vs_expm():
 
 
 def test_transition_matrix_time_varying_scalar():
-    path = LinearPath.from_callable(
-        1, lambda t: np.array([[1.0 + t]], dtype=complex))
+    path = LinearPath(1, lambda ts: (1.0 + ts)[:, None, None] + 0j)
     T = transition_matrix(path, 0.0, 2.0, tol=1e-12)
     assert abs(T[0, 0] - np.exp(-4.0)) < 1e-12
 
