@@ -53,7 +53,8 @@ print("=" * 72)
 print("3. Decay certificate for the modulus")
 print("=" * 72)
 shells = np.array([[r + 0j] for r in (0.2, 0.5, 0.8)])
-rep = decay_bounds_check(koebe, 0.0, 2.0, shells, tol=1e-10)
+rep = decay_bounds_check(koebe, [(0.0, 2.0)], shells,
+                         tol=1e-10)["intervals"][0]
 print(f"  exp(-C(r0) K) <= |phi|/|z| <= exp(-c(r0) M) on {rep['points']} "
       f"states: passed = {rep['passed']}")
 print(f"  worst lower margin {rep['min_lower_margin']:.3e}, "

@@ -60,11 +60,11 @@ print("=" * 72)
 print("4. Sampled image of f_1 with inclusion spot-checks")
 print("=" * 72)
 rs = ev.range_sample(1.0, radius=0.4, directions=6)
-mags = np.abs(rs.values[:, 0])
-radii = sorted({round(float(r), 6) for r in np.abs(rs.points[:, 0])})
-print(f"  {rs.points.shape[0]} states on shells of radius "
+mags = [abs(complex(*v[0])) for v in rs["values"]]
+radii = sorted({round(abs(complex(*p[0])), 6) for p in rs["points"]})
+print(f"  {len(rs['points'])} states on shells of radius "
       f"{', '.join(f'{r:.4g}' for r in radii)}")
-print(f"  image moduli range: [{mags.min():.6f}, {mags.max():.6f}]")
-print(f"  worst inclusion residual: {rs.max_inclusion_residual():.3e}")
+print(f"  image moduli range: [{min(mags):.6f}, {max(mags):.6f}]")
+print(f"  worst inclusion residual: {rs['max_inclusion_residual']:.3e}")
 print("  Each sampled image value is re-derived through the functional")
 print("  equation as a consistency spot-check before being reported.")

@@ -22,10 +22,13 @@ cli       the ``loewner-basin`` command line tool
 
 Each check (``class_n_check``, ``gurganus_check``, ``growth_check``,
 ``decay_bounds_check``, ``contraction_check``, ``classify_hypotheses``)
-returns the JSON-ready dict its command prints.
+returns the JSON-ready dict its command prints, as does
+``ChainEvaluator.range_sample``.  The flow checks integrate in blocks:
+one integrator call each for ``decay_bounds_check`` (all intervals)
+and ``contraction_check`` (all steps), two for ``semigroup_defect``.
 """
 
-from .chain import ChainEvaluator, ChainValue, RangeSample
+from .chain import ChainEvaluator, ChainValue
 from .errors import (ChainUnavailableError, DegenerateTransitionError,
                      EscapeError, FieldRejectedError, HorizonExhaustedError,
                      HypothesisViolationError, InvalidInputError,
@@ -53,7 +56,7 @@ __all__ = [
     "FieldSpec", "FlowRequest", "FlowResult", "GRID_MARGIN",
     "HermitianBounds", "HorizonExhaustedError", "HypothesisViolationError",
     "InvalidInputError", "InverseTransitionProduct", "LinearPath",
-    "LoewnerError", "MAX_DIM", "NumericalFailureError", "RangeSample",
+    "LoewnerError", "MAX_DIM", "NumericalFailureError",
     "SamplePlan", "Schedule", "ScheduleRejectedError", "StiffnessError",
     "UnknownFamilyError", "build_schedule", "builtin_corpus",
     "builtin_field", "c_of", "class_n_check", "classify_hypotheses",

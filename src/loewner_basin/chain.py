@@ -41,7 +41,7 @@ import numpy as np
 from ._integrate import check_tol
 from .errors import (ChainUnavailableError, HorizonExhaustedError,
                      InvalidInputError)
-from .fields import FieldSpec, SamplePlan
+from .fields import FieldSpec, SamplePlan, complex_json
 from .flow import _check_points, _check_times, _evolve_one
 from .linear import InverseTransitionProduct, transition_matrix
 from .schedule import Schedule
@@ -253,35 +253,23 @@ class ChainEvaluator:
                      / (1.0 + np.linalg.norm(transport)))
 
     def range_sample(self, t: float, *, radius: float = 0.5,
-                     directions: int = 8, seed: int = 0) -> "RangeSample":
+                     directions: int = 8, seed: int = 0) -> dict:
         """Sample the time-t limit map over three equally spaced shells
         in |z| <= radius.
 
         Also spot-checks the inclusion of earlier images: each checked
         point verifies f_0(z) = f_t(phi_{0,t}(z)), which is what makes
-        the image domains increase with t.
+        the image domains increase with t.  Returns the JSON-ready
+        payload the ``range`` command prints.
         """
         radii = tuple(radius * (k + 1) / _SHELLS for k in range(_SHELLS))
         pts = SamplePlan(radii=radii, directions=directions,
                          seed=seed).states(self.field.dim)
         values = self.eval_many(t, pts)
         residuals = self._inclusion_residuals(0.0, t, pts[:_SPOT_CHECKS])
-        return RangeSample(t=t, points=pts,
-                           values=np.array([cv.value for cv in values]),
-                           converged=all(cv.converged for cv in values),
-                           inclusion_residuals=tuple(residuals))
-
-
-@dataclass(frozen=True)
-class RangeSample:
-    """Sampled image of a limit map with inclusion spot-check residuals."""
-
-    t: float
-    points: np.ndarray
-    values: np.ndarray
-    converged: bool
-    inclusion_residuals: tuple
-
-    def max_inclusion_residual(self) -> float:
-        return max(self.inclusion_residuals) if self.inclusion_residuals \
-            else 0.0
+        return {"t": t, "radius": radius,
+                "points": [complex_json(z) for z in pts],
+                "values": [complex_json(cv.value) for cv in values],
+                "inclusion_residuals": residuals,
+                "max_inclusion_residual": max(residuals),
+                "converged": all(cv.converged for cv in values)}

@@ -20,8 +20,8 @@ this module provides:
   the least margins, ``passed`` and at most 16 (z, t, value) witnesses;
 * a strict JSON file format for custom polynomial fields (unknown
   keys rejected) via ``load_field_file``, whose number and entry rules
-  (``check_real``, ``complex_rows``) the built-ins, the flow and the
-  command line share;
+  (``check_real``, ``complex_rows`` and its inverse ``complex_json``)
+  the built-ins, the flow and the command line share;
 * ``builtin_corpus``: the fixed list of named instances exercised by
   the verification suite.
 
@@ -209,6 +209,12 @@ def complex_rows(obj, cols: int, name: str, rows: int | None = None
                      for i, row in enumerate(obj)], dtype=complex)
 
 
+def complex_json(v) -> list:
+    """A complex vector as JSON, one [re, im] pair per entry: the inverse
+    of one row of ``complex_rows``."""
+    return [[float(x.real), float(x.imag)] for x in np.asarray(v).reshape(-1)]
+
+
 def _real_list(x, q: int, name: str) -> np.ndarray:
     if not isinstance(x, (list, tuple, np.ndarray)) or len(x) != q:
         raise InvalidInputError(f"{name} must be a list of {q} reals")
@@ -378,8 +384,7 @@ def _inner_re(h: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _witness(z: np.ndarray, t, value) -> dict:
     """A sampled violation as JSON: the state z, the time t and the value."""
-    return {"z": [[float(c.real), float(c.imag)] for c in z],
-            "t": float(t), "value": float(value)}
+    return {"z": complex_json(z), "t": float(t), "value": float(value)}
 
 
 def _within_slack(v: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._integrate import StepStats, check_tol, integrate_adaptive
 from .errors import InvalidInputError
-from .fields import C_of, FieldSpec, c_of, check_real
+from .fields import FieldSpec, check_real, complex_json
 from .linear import as_complex_array
 
 #: states may not come within this distance of the unit sphere
@@ -48,9 +48,9 @@ def _check_times(*times) -> tuple[float, ...]:
 
 
 def _check_points(points, dim: int, *, single: bool = False) -> np.ndarray:
-    """States as a complex (n, dim) array with n >= 1: finite and inside
-    the open unit ball; ``single`` requires n = 1 (a state of shape
-    (dim,) or (1, dim))."""
+    """States as a complex (n, dim) array with n >= 1: finite and of
+    norm below the escape tripwire 1 - ESCAPE_MARGIN; ``single``
+    requires n = 1 (a state of shape (dim,) or (1, dim))."""
     pts = as_complex_array(points, "points")
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -62,11 +62,15 @@ def _check_points(points, dim: int, *, single: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(pts.view(float))):
         raise InvalidInputError("points must be finite")
     radii = np.linalg.norm(pts, axis=1)
-    if np.any(radii >= 1.0):
-        worst = int(np.argmax(radii))
+    worst = int(np.argmax(radii))
+    if radii[worst] >= 1.0:
         raise InvalidInputError(
             f"point {worst} has norm {radii[worst]:.6f} >= 1; "
             "states must lie in the open unit ball")
+    if radii[worst] >= 1.0 - ESCAPE_MARGIN:
+        raise InvalidInputError(
+            f"point {worst} has norm {float(radii[worst])!r}, within "
+            f"{ESCAPE_MARGIN:g} of the unit sphere (the escape tripwire)")
     return pts
 
 
@@ -159,68 +163,76 @@ def trace(field: FieldSpec, s: float, t: float, z, tol: float = 1e-10
 
 def semigroup_defect(field: FieldSpec, s: float, u: float, t: float,
                      points, tol: float = 1e-10) -> float:
-    """Largest 2-norm of phi_{u,t}(phi_{s,u}(z)) - phi_{s,t}(z)
-    over the given start points; requires s <= u <= t."""
+    """Largest 2-norm of phi_{u,t}(phi_{s,u}(z)) - phi_{s,t}(z) over the
+    given start points, s <= u <= t, from two block integrations: the
+    legs [s, t] and [s, u] together, then [u, t]."""
     s, u, t = _check_times(s, u, t)
-    direct = evolve(FlowRequest(field=field, s=s, t=t, points=points, tol=tol))
-    leg1 = evolve(FlowRequest(field=field, s=s, t=u, points=points, tol=tol))
-    leg2 = evolve(FlowRequest(field=field, s=u, t=t, points=leg1.images,
-                              tol=tol))
-    return float(np.max(np.linalg.norm(leg2.images - direct.images, axis=1)))
+    pts = _check_points(points, field.dim)
+    n = len(pts)
+    images, _ = _evolve_one(field, np.repeat([s, s], n), np.repeat([t, u], n),
+                            np.concatenate([pts, pts]), tol)
+    composed, _ = _evolve_one(field, u, t, images[n:], tol)
+    return float(np.max(np.linalg.norm(composed - images[:n], axis=1)))
 
 
 # ---------------------------------------------------------------------------
 # two-sided modulus decay
 
 
-def decay_bounds_check(field: FieldSpec, s: float, t: float, points,
+def decay_bounds_check(field: FieldSpec, intervals, points,
                        tol: float = 1e-10) -> dict:
-    """Evolve points and compare the measured modulus ratio with the
-    two-sided decay estimate.  Start points must be nonzero (the ratio
-    is undefined at the origin).
+    """Evolve points over each interval [s, t] and compare the measured
+    modulus ratio with the two-sided decay estimate.  Start points must
+    be nonzero (the ratio is undefined at the origin).
 
-    For each start point z with r0 = |z| and measured
+    For each interval and start point z with r0 = |z| and measured
     g = log(|phi_{s,t}(z)| / |z|):
 
         lower_margin = g - (-C(r0) * K(s,t) - slack_log)
         upper_margin = (-c(r0) * M(s,t) + slack_log) - g
 
     slack_log = quadrature tolerance + 20 * ODE tolerance covers the
-    numerical error in both g and the integrals.  Returns {"points",
-    "interval", "slack_log", "min_lower_margin", "min_upper_margin",
-    "passed", "witnesses"}: passed when both margins are >= 0 for every
-    point, with at most 16 witnesses {"z", "r0", "log_ratio",
-    "lower_log", "upper_log"} where one is not.
+    numerical error in both g and the integrals.  All intervals and
+    points are one block integration.  Returns {"intervals", "passed"}:
+    per interval {"points", "interval", "slack_log", "min_lower_margin",
+    "min_upper_margin", "passed", "witnesses"}, passed when both margins
+    are >= 0 for every point, with at most 16 witnesses {"z", "r0",
+    "log_ratio", "lower_log", "upper_log"} where one is not.
     """
-    req = FlowRequest(field=field, s=s, t=t, points=points, tol=tol)
-    s, t, pts = req.s, req.t, req.points
-    radii = np.linalg.norm(pts, axis=1)
-    if np.any(radii == 0.0):
+    spans = [_check_times(a, b) for a, b in intervals]
+    if not spans:
+        raise InvalidInputError("decay bounds need at least one interval")
+    tol = check_tol(tol)
+    pts = _check_points(points, field.dim)
+    r0 = np.linalg.norm(pts, axis=1)
+    if np.any(r0 == 0.0):
         raise InvalidInputError("decay bounds need nonzero start points")
-    M_int, K_int = field.linear.masses(s, t)
-    slack_log = field.linear.quad_tol + 20.0 * req.tol
-    result = evolve(req)
-    out_radii = np.linalg.norm(result.images, axis=1)
-    min_lo = math.inf
-    min_hi = math.inf
-    witnesses = []
-    for i in range(pts.shape[0]):
-        r0 = float(radii[i])
-        g = math.log(float(out_radii[i]) / r0)
-        lower_log = -C_of(r0) * K_int
-        upper_log = -c_of(r0) * M_int
-        lo_margin = g - (lower_log - slack_log)
-        hi_margin = (upper_log + slack_log) - g
-        min_lo = min(min_lo, lo_margin)
-        min_hi = min(min_hi, hi_margin)
-        if lo_margin < 0.0 or hi_margin < 0.0:
-            witnesses.append({"z": [[float(c.real), float(c.imag)]
-                                    for c in pts[i]],
-                              "r0": r0, "log_ratio": g,
-                              "lower_log": lower_log, "upper_log": upper_log})
-    min_lo, min_hi = float(min_lo), float(min_hi)
-    return {"points": pts.shape[0], "interval": [s, t],
-            "slack_log": slack_log, "min_lower_margin": min_lo,
-            "min_upper_margin": min_hi,
+    # (M, K) per interval, as columns broadcasting against the points
+    M_int, K_int = np.array([field.linear.masses(s, t) for s, t in spans]
+                            ).T[:, :, None]
+    slack_log = field.linear.quad_tol + 20.0 * tol
+    k, n = len(spans), len(pts)
+    starts, ends = np.repeat(spans, n, axis=0).T
+    images, _ = _evolve_one(field, starts, ends, np.tile(pts, (k, 1)), tol)
+    ratios = np.linalg.norm(images, axis=1).reshape(k, n) / r0
+    # math.log per point: numpy's vector log may round differently
+    g = np.array([math.log(x) for x in ratios.ravel().tolist()]).reshape(k, n)
+    lower_log = -(1.0 + r0) / (1.0 - r0) * K_int   # -C(r0) K(s, t)
+    upper_log = -(1.0 - r0) / (1.0 + r0) * M_int   # -c(r0) M(s, t)
+    lo = g - (lower_log - slack_log)
+    hi = (upper_log + slack_log) - g
+    bad = (lo < 0.0) | (hi < 0.0)
+    reports = []
+    for j, (s, t) in enumerate(spans):
+        min_lo, min_hi = float(lo[j].min()), float(hi[j].min())
+        reports.append({
+            "points": n, "interval": [s, t], "slack_log": slack_log,
+            "min_lower_margin": min_lo, "min_upper_margin": min_hi,
             "passed": min_lo >= 0.0 and min_hi >= 0.0,
-            "witnesses": witnesses[:16]}
+            "witnesses": [{"z": complex_json(pts[i]), "r0": float(r0[i]),
+                           "log_ratio": float(g[j, i]),
+                           "lower_log": float(lower_log[j, i]),
+                           "upper_log": float(upper_log[j, i])}
+                          for i in np.flatnonzero(bad[j])[:16]]})
+    return {"intervals": reports,
+            "passed": all(r["passed"] for r in reports)}

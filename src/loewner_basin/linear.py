@@ -153,6 +153,8 @@ _G_WEIGHTS = np.concatenate([_WG[:-1], _WG[::-1]])
 _SEED_PANELS = 7
 #: bisection depth at which a panel that still misses its tolerance fails
 _MAX_DEPTH = 48
+#: most integrand nodes one gauss_kronrod call may evaluate
+_MAX_NODES = 60_000
 
 
 def gauss_kronrod(f, a: float, b: float, tol: float, *,
@@ -174,7 +176,9 @@ def gauss_kronrod(f, a: float, b: float, tol: float, *,
     1e-13 max(1, |t|) is accepted as it is (it contributes at most
     O(|f| width)), so a jump pinned at a panel end cannot recurse
     forever; any other panel still open after 48 bisections raises
-    NumericalFailureError.
+    NumericalFailureError, and so does a round that would take the call
+    past 60,000 nodes (rounding in t can keep an absolute ``tol`` out of
+    reach, and the open panels would double until memory ran out).
     """
     if b < a:
         raise InvalidInputError("integration bounds must satisfy a <= b")
@@ -187,8 +191,14 @@ def gauss_kronrod(f, a: float, b: float, tol: float, *,
     hi = np.concatenate([e[1:] for e in edges])
     total = b - a
     out = 0.0
-    depth = 0
+    depth = used = 0
     while lo.size:
+        used += lo.size * _GK_NODES.size
+        if used > _MAX_NODES:
+            raise NumericalFailureError(
+                f"adaptive Gauss-Kronrod needs more than {_MAX_NODES} nodes "
+                f"on [{float(a)!r}, {float(b)!r}] to reach tolerance {tol:g}",
+                iterations=depth)
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         nodes = mid[:, None] + half[:, None] * _GK_NODES[None, :]

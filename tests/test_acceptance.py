@@ -96,8 +96,10 @@ def test_criterion_03_decay_bounds(capsys, corpus):
         for name, fld in corpus:
             pts = F.SamplePlan(radii=NINE_RADII, directions=64).states(
                 fld.dim)
-            for (s, t) in DECAY_INTERVALS:
-                rep = FL.decay_bounds_check(fld, s, t, pts, tol=SWEEP_TOL)
+            report = FL.decay_bounds_check(fld, DECAY_INTERVALS, pts,
+                                           tol=SWEEP_TOL)
+            for (s, t), rep in zip(DECAY_INTERVALS, report["intervals"],
+                                   strict=True):
                 assert rep["passed"] and not rep["witnesses"], (
                     name, s, t, rep["min_lower_margin"],
                     rep["min_upper_margin"])

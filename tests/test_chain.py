@@ -206,9 +206,9 @@ def test_horizon_extension_is_stable(chain_for):
 def test_range_sample_converges_and_nests(chain_for):
     ev = chain_for("koebe-1d")
     rs = ev.range_sample(1.0, radius=0.4, directions=4)
-    assert rs.converged
-    assert rs.values.shape == (12, 1)
-    assert rs.max_inclusion_residual() < 1e-7
+    assert rs["converged"]
+    assert np.shape(rs["values"]) == (12, 1, 2)
+    assert rs["max_inclusion_residual"] < 1e-7
 
 
 def test_koebe_range_on_positive_axis(chain_for):

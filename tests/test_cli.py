@@ -342,6 +342,16 @@ def test_flow_identity_endpoint(capsys):
     assert abs(0.5 * np.exp(-1.0) - 0.18394) < 1e-5
 
 
+def test_states_at_the_escape_tripwire_exit_1(capsys):
+    # refused at admission on every field, not left to the tripwire
+    for field in (["koebe-1d"], ["constant-linear", "--param", "dim=1"]):
+        code, out, err = run(capsys, "flow", "--builtin", *field, "--t", "1",
+                             "--points", "[[0.9999999995]]")
+        assert code == 1 and out == "", field
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "escape tripwire" in err
+
+
 def test_flow_same_endpoints_identity(capsys):
     code, payload, _ = run_json(
         capsys, "flow", "--builtin", "koebe-1d", "--s", "1.0", "--t", "1.0",

@@ -103,7 +103,8 @@ def test_decay_bounds_hold_on_corpus(corpus):
     for name, fld in corpus:
         pts = F.SamplePlan(radii=(0.2, 0.5, 0.8), directions=16).states(
             fld.dim)
-        rep = FL.decay_bounds_check(fld, 0.0, 1.5, pts, tol=1e-10)
+        rep = FL.decay_bounds_check(fld, [(0.0, 1.5)], pts,
+                                    tol=1e-10)["intervals"][0]
         assert rep["passed"], (name, rep["min_lower_margin"],
                                rep["min_upper_margin"])
         assert rep["points"] == len(pts)
@@ -111,7 +112,7 @@ def test_decay_bounds_hold_on_corpus(corpus):
 
 def test_decay_bounds_reject_zero_points(koebe):
     with pytest.raises(InvalidInputError):
-        FL.decay_bounds_check(koebe, 0.0, 1.0, np.array([[0.0 + 0j]]))
+        FL.decay_bounds_check(koebe, [(0.0, 1.0)], np.array([[0.0 + 0j]]))
 
 
 def test_flow_never_expands_modulus(corpus):
@@ -299,13 +300,25 @@ def test_rows_step_as_they_would_alone(monkeypatch):
     assert (stats.steps_taken, stats.rhs_evaluations) == (0, 0)
 
 
+def test_admission_stops_at_the_escape_tripwire(koebe):
+    # the integrator's tripwire fires at 1 - ESCAPE_MARGIN, so a state
+    # between it and the sphere is refused up front, not as an escape
+    inside = 1.0 - 2.0 * FL.ESCAPE_MARGIN
+    FL.FlowRequest(field=koebe, s=0.0, t=1.0, points=[[inside]])
+    for r in (1.0 - FL.ESCAPE_MARGIN, 1.0 - FL.ESCAPE_MARGIN / 2):
+        with pytest.raises(InvalidInputError, match="escape tripwire"):
+            FL.FlowRequest(field=koebe, s=0.0, t=1.0, points=[[r]])
+    with pytest.raises(InvalidInputError, match=">= 1"):
+        FL.FlowRequest(field=koebe, s=0.0, t=1.0, points=[[1.0]])
+
+
 def test_empty_point_blocks_are_refused(koebe):
     # an empty block would pass every check vacuously
     none = np.zeros((0, 1))
     with pytest.raises(InvalidInputError, match="n >= 1"):
         FL.FlowRequest(field=koebe, s=0.0, t=1.0, points=none)
     with pytest.raises(InvalidInputError, match="n >= 1"):
-        FL.decay_bounds_check(koebe, 0.0, 1.0, none)
+        FL.decay_bounds_check(koebe, [(0.0, 1.0)], none)
     with pytest.raises(InvalidInputError, match="n >= 1"):
         FL.semigroup_defect(koebe, 0.0, 0.5, 1.0, none)
     ev = ChainEvaluator(koebe, build_schedule(koebe.linear, N=2))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loewner_basin.errors import (DegenerateTransitionError,
-                                  InvalidInputError)
+                                  InvalidInputError, NumericalFailureError)
 from loewner_basin.linear import (CRITERIA, GRID_MARGIN, MAX_DIM,
                                   InverseTransitionProduct, LinearPath,
                                   VERDICT_SATISFIED, VERDICT_UNDECIDABLE,
@@ -144,6 +144,23 @@ def test_quadrature_jump_off_breakpoint_accepted_as_sliver():
     got = gauss_kronrod(lambda t: np.where(t < 0.3, 1.0, 0.0), 0.0, 1.0,
                         1e-10)
     assert abs(got[0] - 0.3) < 1e-10
+
+
+def test_quadrature_stops_at_its_node_budget():
+    # at t ~ 5e4 rounding in t keeps an absolute 1e-10 out of reach, so
+    # open panels double every round; the call must end in a typed error
+    # within its 60,000-node budget instead of exhausting memory
+    nodes = [0]
+
+    def counted(t):
+        nodes[0] += t.size
+        assert nodes[0] <= 120_000, "quadrature ran past twice its budget"
+        return np.cos(t)
+
+    with pytest.raises(NumericalFailureError,
+                       match=r"60000 nodes on \[32768\.0, 65536\.0\]"):
+        gauss_kronrod(counted, 32768.0, 65536.0, 1e-10)
+    assert nodes[0] <= 60_000
 
 
 # ---------------------------------------------------------------------------
