@@ -14,9 +14,10 @@ linear    matrix analysis: Hermitian bounds, spectra, mass integrals,
           hypothesis classification, transition matrices
 fields    admissible fields, built-in families, sampling checks,
           the JSON field-file format
-flow      the evolution operator and decay-bound verification
+flow      the evolution operator, every leg under pure relative error
+          control, and decay-bound verification
 schedule  unit-mass times, the mu/nu contraction budget and its
-          per-step measurement
+          per-step measurement (the decay check on the steps)
 chain     the normalized limit maps and their consistency checks
 cli       the ``loewner-basin`` command line tool
 
@@ -24,8 +25,8 @@ Each check (``class_n_check``, ``gurganus_check``, ``growth_check``,
 ``decay_bounds_check``, ``contraction_check``, ``classify_hypotheses``)
 returns the JSON-ready dict its command prints, as does
 ``ChainEvaluator.range_sample``.  The flow checks integrate in blocks:
-one integrator call each for ``decay_bounds_check`` (all intervals)
-and ``contraction_check`` (all steps), two for ``semigroup_defect``.
+one integrator call for ``decay_bounds_check`` (all intervals), also on
+the schedule's steps as ``contraction_check``, two for the semigroup.
 """
 
 from .chain import ChainEvaluator, ChainValue

@@ -2,9 +2,9 @@
 
 Implements the Dormand-Prince 4(5) pair with FSAL stage reuse and a PI
 (proportional-integral) step-size controller.  Acceptance uses local
-error per unit step against a mixed absolute/relative scale with an
-absolute floor of 1e-14, so trajectories that collapse toward 0 keep
-integrating instead of chasing a vanishing relative scale.
+error per unit step against the scale atol + tol * |row|.  Flow legs pass
+atol = 0, pure relative control (see ``loewner_basin.flow``); the
+default absolute floor of 1e-14 now serves only transition matrices.
 
 Axis 0 of the state holds independent rows, all stepped by one call,
 and each row has its own time span (a scalar span is shared by all).
@@ -105,8 +105,9 @@ def _span(s: np.ndarray, t: np.ndarray, row: int) -> str:
 
 # An overflow in the right-hand side or a stage sum shows up as a
 # non-finite error estimate or state, which raises NumericalFailureError,
-# so numpy's warnings about it are silenced.
-@np.errstate(over="ignore", invalid="ignore")
+# and a state underflowing to 0 gets an infinite error ratio, which
+# rejects the step, so numpy's warnings about them are silenced.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
                        *, breakpoints=(), escape_radius: float | None = None,
                        on_step=None, atol: float | None = None
@@ -137,11 +138,9 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
         the indices of the rows that accepted it, their times and their
         states (shape (k,) + y0.shape[1:]).
     atol : float, optional
-        Absolute error floor, default 1e-14.  Pass 0.0 for pure
-        relative control when the state decays exponentially but must
-        stay accurate relative to its own magnitude (an absolute floor
-        turns into unbounded relative error as the state shrinks); the
-        caller must then guarantee the state never vanishes.
+        Absolute error floor, default 1e-14 (transition matrices).  0.0
+        gives pure relative control, which the flow uses: there the
+        caller must guarantee that a nonzero state never vanishes.
 
     Returns
     -------

@@ -170,15 +170,9 @@ class ChainEvaluator:
         live = np.flatnonzero(W.any(axis=1))
         if not live.size:
             return out
-        # Pure relative error control on every leg: the state decays like
-        # exp(-M(u_m)) while the normalization grows like its inverse, so
-        # any absolute error floor would be amplified into a noise floor
-        # on the approximants.  Relative control is sound here because a
-        # trajectory of a nonzero state never reaches 0 (solutions are
-        # unique and 0 is a stationary point).
         if u[m0] > t:
             W[live], _ = _evolve_one(self.field, t, u[m0], W[live],
-                                     self.tol_ode, atol=0.0)
+                                     self.tol_ode)
         acc = InverseTransitionProduct.identity(self.field.dim)
         for j in range(m0):
             acc = acc.push(self.step_factor(j))
@@ -189,7 +183,7 @@ class ChainEvaluator:
         m = m0
         while m < N and live.size:
             W[live], _ = _evolve_one(self.field, u[m], u[m + 1], W[live],
-                                     self.tol_ode, atol=0.0)
+                                     self.tol_ode)
             acc = acc.push(self.step_factor(m))
             m += 1
             keep = []

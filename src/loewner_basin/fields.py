@@ -241,9 +241,21 @@ def _matrix_or_identity(params: dict, family: str) -> np.ndarray:
     raise InvalidInputError(f"{family} needs 'matrix' or 'dim'")
 
 
+def _not_contracting(family: str, m: float, z, t: float):
+    """Refusal of a linear part with inf m(A(t)) = m <= 0 at (z, t)."""
+    return FieldRejectedError(
+        f"{family} parameters give m(A(t)) = {m:.6g} <= 0 at t = {t:.6g}; "
+        "the linear part must contract at every time",
+        witnesses=[_witness(z, t, m)])
+
+
 def _constant_linear(params: dict) -> FieldSpec:
     _check_keys(params, ("matrix", "dim"), "constant-linear params")
     path = LinearPath.constant(_matrix_or_identity(params, "constant-linear"))
+    if (m := float(path.bounds_many([0.0])[0, 0])) <= 0.0:
+        A = path.A(0.0)
+        raise _not_contracting("constant-linear", m, np.linalg.eigh(
+            0.5 * (A + A.conj().T))[1][:, 0], 0.0)
     return FieldSpec(dim=path.dim, linear=path, remainder=_zero_remainder,
                      family_tag="constant-linear")
 
@@ -261,6 +273,17 @@ def _diagonal_periodic(params: dict) -> FieldSpec:
                            q, "amplitude")
     frequency = _real_list(params.get("frequency", [1.0] * q), q, "frequency")
     phase = _real_list(params.get("phase", [0.0] * q), q, "phase")
+    # inf over t >= 0 of each entry: base - |amplitude| once per period,
+    # or a constant where the frequency is 0
+    lows = np.where(frequency != 0.0, base - np.abs(amplitude),
+                    base + amplitude * np.sin(phase))
+    if lows[i := int(np.argmin(lows))] <= 0.0:
+        # the first t >= 0 where the sine is -sign(amplitude)
+        t = 0.0 if frequency[i] == 0.0 else (
+            (math.copysign(0.5 * math.pi, -amplitude[i]) - phase[i])
+            % math.copysign(2.0 * math.pi, frequency[i])) / frequency[i]
+        raise _not_contracting("diagonal-periodic", float(lows[i]),
+                               np.eye(q)[i], t)
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
         As = np.zeros((ts.size, q * q), dtype=complex)

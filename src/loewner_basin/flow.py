@@ -13,8 +13,12 @@ This module evolves a block of points (one state is a block of one
 row) with one call of the adaptive embedded Runge-Kutta integrator,
 whose rows step independently, so each result is independent of batch
 composition; ``trajectories`` records every accepted step of that same
-call.  It exposes the composition defect, verifies the two-sided
-modulus decay estimate
+call.  Every leg is under pure relative error control, each row against
+its own state: an absolute floor stops resolving a state decaying like
+exp(-M) (0.5 e^-60 came out as 5.8e-15), and the limit maps'
+normalization, growing like exp(M), would amplify it; a nonzero state
+never reaches the stationary 0.  The module exposes the composition
+defect and verifies the two-sided modulus decay estimate
 
     exp(-C(r0) * K(s,t)) <= |phi_{s,t}(z)| / |z| <= exp(-c(r0) * M(s,t))
 
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import StepStats, check_tol, integrate_adaptive
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .fields import FieldSpec, check_real, complex_json
 from .linear import as_complex_array
 
@@ -108,14 +112,14 @@ class FlowResult:
 
 
 def _evolve_one(field: FieldSpec, s: float, t: float, Z: np.ndarray,
-                tol: float, on_step=None, atol: float | None = None
-                ) -> tuple[np.ndarray, StepStats]:
-    """One leg [s, t] for a block Z of states, shape (n, dim)."""
+                tol: float, on_step=None) -> tuple[np.ndarray, StepStats]:
+    """One leg [s, t] for a block Z of states, shape (n, dim), each row
+    controlled relative to its own state."""
     return integrate_adaptive(
         lambda tau, Y: -field.h(Y, tau), s, t, Z, tol,
         breakpoints=field.breakpoints,
         escape_radius=1.0 - ESCAPE_MARGIN,
-        on_step=on_step, atol=atol)
+        on_step=on_step, atol=0.0)
 
 
 def evolve(request: FlowRequest) -> FlowResult:
@@ -193,7 +197,8 @@ def decay_bounds_check(field: FieldSpec, intervals, points,
 
     slack_log = quadrature tolerance + 20 * ODE tolerance covers the
     numerical error in both g and the integrals.  All intervals and
-    points are one block integration.  Returns {"intervals", "passed"}:
+    points are one block integration; an image of norm below 1.5e-154
+    raises NumericalFailureError.  Returns {"intervals", "passed"}:
     per interval {"points", "interval", "slack_log", "min_lower_margin",
     "min_upper_margin", "passed", "witnesses"}, passed when both margins
     are >= 0 for every point, with at most 16 witnesses {"z", "r0",
@@ -214,7 +219,14 @@ def decay_bounds_check(field: FieldSpec, intervals, points,
     k, n = len(spans), len(pts)
     starts, ends = np.repeat(spans, n, axis=0).T
     images, _ = _evolve_one(field, starts, ends, np.tile(pts, (k, 1)), tol)
-    ratios = np.linalg.norm(images, axis=1).reshape(k, n) / r0
+    norms = np.linalg.norm(images, axis=1).reshape(k, n)
+    # below sqrt(tiny) the squares that the 2-norm sums underflow
+    if (under := norms < math.sqrt(np.finfo(float).tiny)).any():
+        s, t = spans[int(np.argmax(under.any(axis=1)))]
+        raise NumericalFailureError(
+            f"an image norm falls below 1.49e-154 on [{s!r}, {t!r}], where "
+            "its squares underflow and its log modulus ratio is lost")
+    ratios = norms / r0
     # math.log per point: numpy's vector log may round differently
     g = np.array([math.log(x) for x in ratios.ravel().tolist()]).reshape(k, n)
     lower_log = -(1.0 + r0) / (1.0 - r0) * K_int   # -C(r0) K(s, t)

@@ -38,7 +38,7 @@ from ._integrate import check_tol
 from .errors import (HorizonExhaustedError, InvalidInputError,
                      NumericalFailureError, ScheduleRejectedError)
 from .fields import C_of, SamplePlan, c_of, check_real
-from .flow import _evolve_one
+from .flow import decay_bounds_check
 from .linear import LinearPath, ell_estimate
 
 _MAX_BRACKET_DOUBLINGS = 80
@@ -47,9 +47,6 @@ _MAX_ROOT_ITERS = 200
 _MAX_TIME = 1e6
 #: uniform grid points on [0, u_N] over which build_schedule measures ell
 _ELL_GRID = 4097
-#: shell directions and most schedule steps that contraction_check evolves
-_CONTRACTION_DIRECTIONS = 8
-_CONTRACTION_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -243,38 +240,11 @@ def log_ratio_check(path: LinearPath, schedule: Schedule) -> float:
 
 def contraction_check(field, schedule: Schedule, *, seed: int = 0,
                       tol: float = 1e-10) -> dict:
-    """Evolve 8 shell states of modulus r through each of the first
-    min(6, N) schedule steps, all as one block integration, and compare
-    measured ratios |phi(z)| / |z| with the sandwich
-    [nu_n * (1 - slack), mu * (1 + slack)], slack = 100 * tol + 1e-9.
-
-    The field's linear part must be the path the schedule was built
-    from; states start on the working-radius shell.  Returns {"steps",
-    "directions", "min_lower_margin", "min_upper_margin", "passed",
-    "witnesses"}: passed when every ratio lies in its sandwich, with one
-    witness {"step", "ratio", "lower", "upper"} per failing step.
-    """
-    shell = SamplePlan(radii=(schedule.r,),
-                       directions=_CONTRACTION_DIRECTIONS,
-                       seed=seed).states(field.dim)
-    slack = 100.0 * tol + 1e-9
-    n_steps = min(_CONTRACTION_STEPS, schedule.horizon_N)
-    u = np.array(schedule.u[:n_steps + 1])
-    images, _ = _evolve_one(field, np.repeat(u[:-1], len(shell)),
-                            np.repeat(u[1:], len(shell)),
-                            np.tile(shell, (n_steps, 1)), tol)
-    ratios = np.linalg.norm(images, axis=1).reshape(n_steps, -1) / schedule.r
-    lower = np.array(schedule.nu_per_step[:n_steps]) * (1.0 - slack)
-    upper = schedule.mu * (1.0 + slack)
-    lo = ratios.min(axis=1) - lower
-    hi = upper - ratios.max(axis=1)
-    witnesses = [{"step": int(n),
-                  "ratio": float(ratios[n].min() if lo[n] < 0.0
-                                 else ratios[n].max()),
-                  "lower": float(lower[n]), "upper": upper}
-                 for n in np.flatnonzero((lo < 0.0) | (hi < 0.0))]
-    min_lo, min_hi = float(lo.min()), float(hi.min())
-    return {"steps": n_steps, "directions": _CONTRACTION_DIRECTIONS,
-            "min_lower_margin": min_lo, "min_upper_margin": min_hi,
-            "passed": min_lo >= 0.0 and min_hi >= 0.0,
-            "witnesses": witnesses}
+    """``decay_bounds_check`` on the first min(6, N) schedule steps for 8
+    shell states of modulus r: with r0 = r its bounds on [u_n, u_{n+1}]
+    are nu_n and mu (every step has unit mass M), so it checks each step
+    ratio |phi(z)| / |z| against [nu_n, mu].  The field's linear part
+    must be the path the schedule was built from."""
+    shell = SamplePlan(radii=(schedule.r,), directions=8, seed=seed)
+    return decay_bounds_check(field, zip(schedule.u, schedule.u[1:7]),
+                              shell.states(field.dim), tol)

@@ -37,7 +37,8 @@ PLAN = F.SamplePlan(radii=(0.3, 0.6), directions=16, times=(0.0, 1.0))
     lambda: F.gurganus_check(OUTWARD, PLAN),
     lambda: F.growth_check(STEEP, directions=16),
     lambda: FL.decay_bounds_check(SLOW, [(0.0, 2.0)], SHELLS)["intervals"][0],
-    lambda: S.contraction_check(SLOW, S.build_schedule(IDENTITY, N=4)),
+    lambda: S.contraction_check(
+        SLOW, S.build_schedule(IDENTITY, N=4))["intervals"][0],
 ], ids=["class_n", "sandwich", "growth", "decay", "contraction"])
 def test_failing_check_reports_json_witnesses(check):
     result = check()
@@ -49,7 +50,7 @@ def test_failing_check_reports_json_witnesses(check):
 @pytest.fixture
 def legs(monkeypatch):
     """Every block integration a check makes: calls of flow._evolve_one,
-    patched wherever a check looks it up."""
+    through which every flow check reaches the integrator."""
     calls = []
     real = FL._evolve_one
 
@@ -58,9 +59,6 @@ def legs(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(FL, "_evolve_one", counted)
-    # a check that reaches the integrator through flow needs no second
-    # patch, so schedule's own name is patched only where it exists
-    monkeypatch.setattr(S, "_evolve_one", counted, raising=False)
     return calls
 
 
@@ -78,6 +76,22 @@ INTERVALS = [(0.0, 1.0), (1.0, 2.0), (0.0, 4.0)]
 def test_flow_checks_integrate_in_blocks(legs, check, want):
     check()
     assert len(legs) == want, legs
+
+
+def test_contraction_is_the_decay_check_on_the_schedule_steps():
+    # with r0 = r the decay bounds on [u_n, u_{n+1}] are nu_n and mu
+    sched = S.build_schedule(KOEBE.linear, N=8)
+    shell = F.SamplePlan(radii=(sched.r,), directions=8,
+                         seed=3).states(KOEBE.dim)
+    got = S.contraction_check(KOEBE, sched, seed=3)
+    want = FL.decay_bounds_check(KOEBE, zip(sched.u[:6], sched.u[1:7]),
+                                 shell)
+    assert json.dumps(got) == json.dumps(want)
+    assert got["passed"] is True and len(got["intervals"]) == 6
+    short = S.build_schedule(KOEBE.linear, N=4)
+    assert [r["interval"] for r in S.contraction_check(
+        KOEBE, short)["intervals"]] == [list(short.u[n:n + 2])
+                                        for n in range(4)]
 
 
 def test_decay_block_rows_match_single_intervals():

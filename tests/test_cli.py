@@ -217,6 +217,18 @@ def test_mathematical_rejection_exit_2(capsys, tmp_path):
     assert payload["status"] == "rejected"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "diagonal-periodic", "--param", "base=[1,-0.5]"),
+    ("--builtin", "constant-linear", "--param", "matrix=[[0]]"),
+])
+def test_noncontracting_linear_family_is_a_rejected_field(capsys, argv):
+    # refused at construction, before any bracket search for u_1
+    code, payload, _ = run_json(capsys, "schedule", *argv, "--horizon", "3")
+    assert code == 2
+    assert payload["error"]["type"] == "field-rejected"
+    assert len(payload["error"]["witnesses"]) == 1
+
+
 def test_numerical_failure_exit_3(capsys, monkeypatch):
     def boom(args, field):
         raise StiffnessError("step size collapsed")
@@ -490,6 +502,31 @@ def test_verify_keeps_its_report_when_the_schedule_ends_early(
     assert checks["transport"]["passed"] is False
     assert "exceeds the schedule horizon" in checks["transport"]["reason"]
     assert payload["result"]["all_passed"] is False
+
+
+def test_verify_passes_a_long_decay_interval(capsys):
+    # log ratio -60 exactly; an absolute error floor once measured -30.9
+    code, payload, _ = run_json(
+        capsys, "verify", "--builtin", "constant-linear", "--param", "dim=1",
+        "--intervals", "0:60", "--horizon", "3")
+    assert code == 0
+    assert payload["result"]["checks"]["decay"]["passed"] is True
+
+
+def test_verify_refuses_an_underflowing_image(capsys):
+    # the image 0.2 e^-800 underflows to 0, which has no log ratio; the
+    # loose tolerance only shortens the ~60,000 steps of the default one
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "verify", "--builtin", "constant-linear", "--param",
+            "dim=1", "--intervals", "0:800", "--tol-ode", "1e-6")
+    assert code == 3
+    assert err == "" and not caught, [str(w.message) for w in caught]
+    payload = _strict_json(out)
+    assert payload["status"] == "failed" and "result" not in payload
+    assert payload["error"]["type"] == "NumericalFailureError"
+    assert "[0.0, 800.0]" in payload["error"]["message"]
 
 
 def test_verify_decay_slack_honours_tol_quad(capsys):

@@ -78,6 +78,27 @@ def test_unknown_family():
         F.builtin_field("nope")
 
 
+@pytest.mark.parametrize("family, params, z, t, value", [
+    # default amplitude [0, 0.5]: the second entry reaches -1 at 3 pi / 2
+    ("diagonal-periodic", {"base": [1, -0.5]}, [0, 1], 1.5 * np.pi, -1.0),
+    # a frozen entry (frequency 0) keeps base + amplitude sin(phase)
+    ("diagonal-periodic", {"base": [1, 0.2], "amplitude": [0.1, -0.4],
+                           "frequency": [1, 0], "phase": [0, np.pi / 2]},
+     [0, 1], 0.0, -0.2),
+    ("constant-linear", {"matrix": [[-1]]}, [1], 0.0, -1.0),
+    ("constant-linear", {"matrix": [[0]]}, [1], 0.0, 0.0),
+])
+def test_linear_families_refuse_a_noncontracting_part(family, params, z, t,
+                                                      value):
+    # m(A(t)) <= 0 somewhere: refused at construction with one witness
+    # {z, t, value} where Re<A(t) z, z> = value on the unit vector z
+    with pytest.raises(FieldRejectedError) as exc:
+        F.builtin_field(family, params)
+    (w,) = exc.value.witnesses
+    assert np.allclose(np.abs([complex(*c) for c in w["z"]]), z)
+    assert w["t"] == pytest.approx(t) and w["value"] == pytest.approx(value)
+
+
 @pytest.mark.parametrize("family, params", [
     ("constant-linear", {"dim": 2.5}),
     ("constant-linear", {"dim": "x"}),
