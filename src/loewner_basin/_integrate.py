@@ -1,17 +1,21 @@
 """Embedded adaptive Runge-Kutta core of the flow and transition matrices.
 
-Implements the Dormand-Prince 4(5) pair with FSAL stage reuse and a PI
-(proportional-integral) step-size controller.  Acceptance uses local
-error per unit step against the scale atol + tol * |row|.  Flow legs pass
-atol = 0, pure relative control (see ``loewner_basin.flow``); the
-default absolute floor of 1e-14 now serves only transition matrices.
+Implements the Dormand-Prince 8(5,3) pair DOP853 with FSAL stage reuse
+and a PI (proportional-integral) step-size controller.  The local error
+estimate combines the embedded 5th and 3rd order differences as
+e5^2 / hypot(e5, e3 / 10) of their max-norms e5 and e3, formed without
+squaring a raw error (the square of a tiny state's error underflows to
+0 and would accept any step).  Acceptance uses local error per unit
+step against the scale atol + tol * |row|.  Flow legs pass atol = 0,
+pure relative control (see ``loewner_basin.flow``); the default
+absolute floor of 1e-14 now serves only transition matrices.
 
 Axis 0 of the state holds independent rows, all stepped by one call,
 and each row has its own time span (a scalar span is shared by all).
 Each row keeps its own time, segment, step size, PI memory and step
 budget, so it takes exactly the steps, and gets exactly the bits, it
 would get alone.  Stage sums are ``np.einsum("k,knd->nd", weights,
-stages)`` over one (7, n, d) stage array, which adds the stages in
+stages)`` over one (13, n, d) stage array, which adds the stages in
 tableau order entry by entry (a BLAS product would not), and the PI
 factors are Python floats (a vectorized power rounds differently).
 Steps never straddle a declared breakpoint: a row's span is cut at the
@@ -33,28 +37,90 @@ import numpy as np
 from .errors import (EscapeError, InvalidInputError, NumericalFailureError,
                      StiffnessError)
 
-# Dormand-Prince 5(4) tableau, strictly lower triangular.  Row 6 holds
-# the 5th order weights, so the argument of the last stage is the
-# candidate solution and its derivative is the next first stage (FSAL).
-_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
-_A = np.zeros((7, 7))
-_A[1, :1] = [1.0 / 5.0]
-_A[2, :2] = [3.0 / 40.0, 9.0 / 40.0]
-_A[3, :3] = [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]
-_A[4, :4] = [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0,
-             -212.0 / 729.0]
-_A[5, :5] = [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-             -5103.0 / 18656.0]
-_A[6, :6] = [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
-             -2187.0 / 6784.0, 11.0 / 84.0]
-# Difference between the 5th and 4th order weights (error estimator).
-_E = np.array([71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-               -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0])
+# Dormand-Prince 8(5,3) tableau (DOP853; Hairer, Norsett & Wanner,
+# Solving ODEs I, II.10), strictly lower triangular: 12 stages plus FSAL.
+# Row 12 holds the 8th order weights, so the argument of the last stage
+# is the candidate solution and its derivative is the next first stage.
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
+    0.281649658092772603273242802490, 0.333333333333333333333333333333,
+    0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
+    0.6, 0.857142857142857142857142857142, 1.0, 1.0])
+_A = np.zeros((13, 13))
+_A[1, :1] = [5.26001519587677318785587544488e-2]
+_A[2, :2] = [1.97250569845378994544595329183e-2,
+             5.91751709536136983633785987549e-2]
+_A[3, :3] = [2.95875854768068491816892993775e-2, 0.0,
+             8.87627564304205475450678981324e-2]
+_A[4, :4] = [2.41365134159266685502369798665e-1, 0.0,
+             -8.84549479328286085344864962717e-1,
+             9.24834003261792003115737966543e-1]
+_A[5, :5] = [3.7037037037037037037037037037e-2, 0.0, 0.0,
+             1.70828608729473871279604482173e-1,
+             1.25467687566822425016691814123e-1]
+_A[6, :6] = [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+             6.02165389804559606850219397283e-2, -1.7578125e-2]
+_A[7, :7] = [3.70920001185047927108779319836e-2, 0.0, 0.0,
+             1.70383925712239993810214054705e-1,
+             1.07262030446373284651809199168e-1,
+             -1.53194377486244017527936158236e-2,
+             8.27378916381402288758473766002e-3]
+_A[8, :8] = [6.24110958716075717114429577812e-1, 0.0, 0.0,
+             -3.36089262944694129406857109825,
+             -8.68219346841726006818189891453e-1,
+             2.75920996994467083049415600797e1,
+             2.01540675504778934086186788979e1,
+             -4.34898841810699588477366255144e1]
+_A[9, :9] = [4.77662536438264365890433908527e-1, 0.0, 0.0,
+             -2.48811461997166764192642586468,
+             -5.90290826836842996371446475743e-1,
+             2.12300514481811942347288949897e1,
+             1.52792336328824235832596922938e1,
+             -3.32882109689848629194453265587e1,
+             -2.03312017085086261358222928593e-2]
+_A[10, :10] = [-9.3714243008598732571704021658e-1, 0.0, 0.0,
+               5.18637242884406370830023853209,
+               1.09143734899672957818500254654,
+               -8.14978701074692612513997267357,
+               -1.85200656599969598641566180701e1,
+               2.27394870993505042818970056734e1,
+               2.49360555267965238987089396762,
+               -3.0467644718982195003823669022]
+_A[11, :11] = [2.27331014751653820792359768449, 0.0, 0.0,
+               -1.05344954667372501984066689879e1,
+               -2.00087205822486249909675718444,
+               -1.79589318631187989172765950534e1,
+               2.79488845294199600508499808837e1,
+               -2.85899827713502369474065508674,
+               -8.87285693353062954433549289258,
+               1.23605671757943030647266201528e1,
+               6.43392746015763530355970484046e-1]
+_A[12, :12] = [5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+               4.45031289275240888144113950566,
+               1.89151789931450038304281599044,
+               -5.8012039600105847814672114227,
+               3.1116436695781989440891606237e-1,
+               -1.52160949662516078556178806805e-1,
+               2.01365400804030348374776537501e-1,
+               4.47106157277725905176885569043e-2]
+# Differences between the 8th order weights and embedded 5th and 3rd
+# order ones (the two error estimators; the FSAL stage has weight 0).
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1, 0.0])
+_E3 = _A[12] - np.array([
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0,
+    0.220588235294117647058823529412e-1, 0.0])
 
 ATOL_FLOOR = 1e-14
 _SAFETY = 0.9
-_ALPHA = 0.7 / 5.0   # PI exponent on the current error ratio
-_BETA = 0.4 / 5.0    # PI exponent on the previous error ratio
+_ALPHA = 0.7 / 8.0   # PI exponent on the current error ratio
+_BETA = 0.4 / 8.0    # PI exponent on the previous error ratio
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _HMIN_REL = 1e-14    # step floor relative to max(1, |tau|)
@@ -172,7 +238,7 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
     # first pass begins its first segment, or retires it if s_i = t_i.
     rows, x, tau, b = np.arange(n), Y.copy(), s.copy(), s.copy()
     h, lo, hi, end = np.zeros((4, n))
-    K = np.empty((7,) + x.shape, dtype=complex)  # the stage derivatives
+    K = np.empty((13,) + x.shape, dtype=complex)  # the stage derivatives
 
     def start(i):
         """Begin a smooth segment at tau for the rows i: a fresh first
@@ -227,19 +293,25 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
                              "steps_rejected": int(rejected[rows[k]])})
         T = np.minimum(np.maximum(tau + _C[:, None] * h, lo), hi)
         hh = h[:, None]
-        # The last stage argument is the 5th order candidate (FSAL).
-        for i in range(1, 7):
-            x5 = x + hh * np.einsum("k,knd->nd", _A[i, :i], K[:i])
-            K[i] = f(T[i], x5)
-        est = np.abs(hh * np.einsum("k,knd->nd", _E, K)).max(axis=1)
-        x5_max = np.abs(x5).max(axis=1)
-        finite = np.isfinite(est) & np.isfinite(x5_max)
+        # The last stage argument is the 8th order candidate (FSAL).
+        for i in range(1, 13):
+            x8 = x + hh * np.einsum("k,knd->nd", _A[i, :i], K[:i])
+            K[i] = f(T[i], x8)
+        e5, e3 = (np.abs(hh * np.einsum("k,knd->nd", E, K)).max(axis=1)
+                  for E in (_E5, _E3))
+        # The combined estimate e5^2 / hypot(e5, e3 / 10), written so
+        # that no raw error is squared: a square underflows to 0 on
+        # states below about 1e-162, which would accept every step.
+        den = np.hypot(e5, 0.1 * e3)
+        est = e5 * np.divide(e5, den, where=den > 0.0, out=np.zeros(len(e5)))
+        x8_max = np.abs(x8).max(axis=1)
+        finite = np.isfinite(est) & np.isfinite(e3) & np.isfinite(x8_max)
         if not finite.all():
             k = int(np.argmin(finite))
             raise NumericalFailureError(
                 f"non-finite step at t = {float(tau[k])!r} on "
                 f"{_span(s, t, rows[k])}", iterations=int(taken[rows[k]]))
-        scale = atol + tol * np.maximum(np.abs(x).max(axis=1), x5_max)
+        scale = atol + tol * np.maximum(np.abs(x).max(axis=1), x8_max)
         ratio = np.maximum(np.divide(est, h * scale, where=est > 0.0,
                                      out=np.zeros(len(est))), 1e-16)
         rej = ratio > 1.0
@@ -253,8 +325,8 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
             acc = ~rej
         t_next = tau[acc] + h[acc]
         tau[acc] = np.where(b[acc] - t_next <= end[acc], b[acc], t_next)
-        x[acc] = x5[acc]
-        K[0, acc] = K[6, acc]
+        x[acc] = x8[acc]
+        K[0, acc] = K[12, acc]
         taken[rows[acc]] += 1
         stats.max_local_error = max(stats.max_local_error,
                                     float(est[acc].max()))

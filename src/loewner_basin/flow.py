@@ -18,7 +18,8 @@ its own state: an absolute floor stops resolving a state decaying like
 exp(-M) (0.5 e^-60 came out as 5.8e-15), and the limit maps'
 normalization, growing like exp(M), would amplify it; a nonzero state
 never reaches the stationary 0.  The module exposes the composition
-defect and verifies the two-sided modulus decay estimate
+defect, relative to the image, and verifies the two-sided modulus
+decay estimate
 
     exp(-C(r0) * K(s,t)) <= |phi_{s,t}(z)| / |z| <= exp(-c(r0) * M(s,t))
 
@@ -167,16 +168,22 @@ def trace(field: FieldSpec, s: float, t: float, z, tol: float = 1e-10
 
 def semigroup_defect(field: FieldSpec, s: float, u: float, t: float,
                      points, tol: float = 1e-10) -> float:
-    """Largest 2-norm of phi_{u,t}(phi_{s,u}(z)) - phi_{s,t}(z) over the
-    given start points, s <= u <= t, from two block integrations: the
-    legs [s, t] and [s, u] together, then [u, t]."""
+    """Largest 2-norm of phi_{u,t}(phi_{s,u}(z)) - phi_{s,t}(z) relative
+    to |phi_{s,t}(z)| over the given start points, s <= u <= t, from two
+    block integrations: the legs [s, t] and [s, u] together, then [u, t].
+    Every leg is controlled relative to its own state, so the defect is
+    too, and it keeps its meaning on tiny states; a zero image (a start
+    at the origin) keeps its absolute defect."""
     s, u, t = _check_times(s, u, t)
     pts = _check_points(points, field.dim)
     n = len(pts)
     images, _ = _evolve_one(field, np.repeat([s, s], n), np.repeat([t, u], n),
                             np.concatenate([pts, pts]), tol)
     composed, _ = _evolve_one(field, u, t, images[n:], tol)
-    return float(np.max(np.linalg.norm(composed - images[:n], axis=1)))
+    defect = np.linalg.norm(composed - images[:n], axis=1)
+    size = np.linalg.norm(images[:n], axis=1)
+    return float(np.max(np.divide(defect, size, where=size > 0.0,
+                                  out=defect)))
 
 
 # ---------------------------------------------------------------------------

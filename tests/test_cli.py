@@ -373,6 +373,18 @@ def test_flow_same_endpoints_identity(capsys):
     assert end == [0.3, 0.2]
 
 
+def test_flow_through_a_long_decay_ends_inside_the_step_budget(capsys):
+    # 0.5 e^-800 underflows; under relative control a decaying state
+    # costs a fixed number of steps per e-fold, and a 5th order pair
+    # spent the whole step budget by t = 382 at this tolerance
+    code, payload, _ = run_json(
+        capsys, "flow", "--builtin", "constant-linear", "--param", "dim=1",
+        "--t", "800", "--points", "[[0.5]]", "--tol-ode", "1e-12")
+    assert code == 0
+    re, im = payload["result"]["images"][0][0]
+    assert abs(complex(re, im)) <= 1e-300 and re >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # schedule
 
@@ -514,13 +526,12 @@ def test_verify_passes_a_long_decay_interval(capsys):
 
 
 def test_verify_refuses_an_underflowing_image(capsys):
-    # the image 0.2 e^-800 underflows to 0, which has no log ratio; the
-    # loose tolerance only shortens the ~60,000 steps of the default one
+    # the image 0.2 e^-800 underflows to 0, which has no log ratio
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(
             capsys, "verify", "--builtin", "constant-linear", "--param",
-            "dim=1", "--intervals", "0:800", "--tol-ode", "1e-6")
+            "dim=1", "--intervals", "0:800")
     assert code == 3
     assert err == "" and not caught, [str(w.message) for w in caught]
     payload = _strict_json(out)

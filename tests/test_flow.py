@@ -33,10 +33,10 @@ def test_koebe_point_golden_bits():
     # rewrite of the stepper that changes rounding or step choice shows
     fld = F.builtin_field("koebe-1d", {})
     w, stats = FL._evolve_one(fld, 0.0, 4.0, np.array([0.5 + 0.1j]), 1e-10)
-    assert w[0] == complex(float.fromhex("0x1.d7d428037011dp-6"),
-                           float.fromhex("0x1.24ca962516c62p-6"))
+    assert w[0] == complex(float.fromhex("0x1.d7d428036f3b3p-6"),
+                           float.fromhex("0x1.24ca962517d5dp-6"))
     assert (stats.steps_taken, stats.steps_rejected,
-            stats.rhs_evaluations) == (167, 0, 1003)
+            stats.rhs_evaluations) == (21, 0, 253)
 
 
 def test_constant_diagonal_flow_is_exponential():
@@ -102,6 +102,18 @@ def test_semigroup_defect_small(koebe):
     d = FL.semigroup_defect(koebe, 0.0, 0.7, 2.0,
                             np.array([[0.5 + 0.2j]]), tol=1e-11)
     assert d < 5e-10
+
+
+def test_semigroup_defect_is_relative_to_the_state():
+    # a linear field maps 2^-60 z to 2^-60 phi(z), so a relative defect
+    # stays put where an absolute one would shrink 2^60-fold; the ratio
+    # is not exactly 1 because the initial step adds an absolute floor
+    fld = F.builtin_field("diagonal-periodic")
+    z = np.array([[0.5 + 0.2j, -0.3j]])
+    big, small = (FL.semigroup_defect(fld, 0.0, 0.7, 2.0, k * z)
+                  for k in (1.0, 2.0 ** -60))
+    assert 0.0 < big < 20.0 * 1e-10
+    assert 0.5 * big <= small <= 2.0 * big
 
 
 def test_semigroup_validation(koebe):
@@ -259,7 +271,7 @@ def test_rows_step_as_they_would_alone(monkeypatch):
 
     # the step budget counts each row's own steps
     koebe = F.builtin_field("koebe-1d")
-    rows = np.array([[0.6 + 0.3j], [0.05 + 0j]])
+    rows = np.array([[0.05 + 0j], [0.6 + 0.3j]])
 
     def tries(z):
         stats = FL._evolve_one(koebe, 0.0, 4.0, z[None], 1e-10)[1]

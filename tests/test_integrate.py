@@ -18,7 +18,7 @@ def test_scalar_exponential_accuracy():
     y, stats = integrate_adaptive(_decay, 0.0, 3.0, y0, 1e-10)
     assert abs(y[0] - y0[0] * np.exp(-3.0)) < 1e-11
     assert stats.steps_taken > 0
-    assert stats.rhs_evaluations >= 6 * stats.steps_taken
+    assert stats.rhs_evaluations >= 12 * stats.steps_taken
 
 
 def test_zero_span_is_identity():
@@ -105,18 +105,26 @@ def test_non_finite_step_raises():
                                0.0, 1.0, y0, 1e-10)
 
 
-def test_tableau_is_dormand_prince():
-    A, C, E = _integrate._A, _integrate._C, _integrate._E
-    assert A.shape == (7, 7) and np.all(np.triu(A) == 0.0)
-    assert np.max(np.abs(A.sum(axis=1) - C)) <= 1e-15
-    # row 6 is the 5th order solution, and row 6 minus E the 4th order
-    # one: each meets the quadrature conditions sum_i b_i c_i^(k-1) = 1/k
-    b5 = A[6]
-    b4 = b5 - E
-    for b, order in ((b5, 5), (b4, 4)):
+def test_tableau_is_dop853():
+    A, C = _integrate._A, _integrate._C
+    E5, E3 = _integrate._E5, _integrate._E3
+    assert A.shape == (13, 13) and np.all(np.triu(A) == 0.0)
+    assert np.max(np.abs(A.sum(axis=1) - C)) <= 4e-15
+    # row 12 is the 8th order solution, and row 12 minus E5 (E3) an
+    # embedded 5th (3rd) order one: each meets the quadrature conditions
+    # sum_i b_i c_i^(k-1) = 1/k up to its order
+    b8 = A[12]
+    for b, order in ((b8, 8), (b8 - E5, 5), (b8 - E3, 3)):
         for k in range(1, order + 1):
-            assert abs(b @ C ** (k - 1) - 1.0 / k) <= 1e-15
-    assert abs(E.sum()) <= 1e-15
+            assert abs(b @ C ** (k - 1) - 1.0 / k) <= 1e-15, (order, k)
+    assert E5[12] == E3[12] == 0.0  # the FSAL stage carries no weight
+    # every entry as in scipy's DOP853 (a test extra, not a dependency)
+    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    n = ref.N_STAGES
+    assert np.array_equal(A[:n, :n], ref.A[:n, :n])
+    assert np.array_equal(A[n, :n], ref.B) and C[n] == 1.0
+    assert np.array_equal(C[:n], ref.C[:n])
+    assert np.array_equal(E5, ref.E5) and np.array_equal(E3, ref.E3)
 
 
 def test_step_budget_raises_numerical_failure(monkeypatch):
