@@ -20,9 +20,11 @@ tableau order entry by entry (a BLAS product would not), and the PI
 factors are Python floats (a vectorized power rounds differently).
 Steps never straddle a declared breakpoint: a row's span is cut at the
 breakpoints strictly inside it, and each smooth segment starts with a
-fresh first stage and initial step, since the right hand side may jump
-there; the PI memory and the step budget carry over.  Rows leave the
-block when they reach the end of their span.  Past ``_MAX_STEPS``
+fresh first stage and the initial step guess, since the right hand side
+may jump there; only a row's first segment may take the caller's first
+step instead (a leg resuming where the row's last leg stopped).  The PI
+memory and the step budget carry over.  Rows leave the block when they
+reach the end of their span.  Past ``_MAX_STEPS``
 accepted plus rejected steps a row raises NumericalFailureError naming
 its span.
 """
@@ -138,12 +140,14 @@ def check_tol(tol: float, name: str = "tolerance") -> float:
 
 @dataclass
 class StepStats:
-    """Counters accumulated over one integration call and all its rows."""
+    """Counters accumulated over one integration call and all its rows,
+    and each row's next step (NaN for an empty span and no first step)."""
 
     steps_taken: int = 0
     steps_rejected: int = 0
     max_local_error: float = 0.0
     rhs_evaluations: int = 0
+    next_step: np.ndarray | None = None
 
 
 def _check_spans(s, t, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,8 +180,8 @@ def _span(s: np.ndarray, t: np.ndarray, row: int) -> str:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
                        *, breakpoints=(), escape_radius: float | None = None,
-                       on_step=None, atol: float | None = None
-                       ) -> tuple[np.ndarray, StepStats]:
+                       on_step=None, atol: float | None = None,
+                       first_step=None) -> tuple[np.ndarray, StepStats]:
     """Integrate y' = rhs(tau, y) over [s_i, t_i] for every row i of y0.
 
     Parameters
@@ -207,6 +211,12 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
         Absolute error floor, default 1e-14 (transition matrices).  0.0
         gives pure relative control, which the flow uses: there the
         caller must guarantee that a nonzero state never vanishes.
+    first_step : float or 1-D array, optional
+        Finite first trial steps > 0, shared or one per row, replacing
+        the initial guess on each row's first segment, clipped to it and
+        error-controlled.  A leg continuing from t_i passes the last
+        leg's ``stats.next_step``: each row's last step proposal before
+        it was clipped to land on t_i.
 
     Returns
     -------
@@ -220,10 +230,15 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
         atol = ATOL_FLOOR
     elif not 0.0 <= atol <= 1e-2:
         raise InvalidInputError(f"atol {atol} outside [0, 1e-2]")
+    h0 = first_step if first_step is None else np.asarray(first_step, float)
+    if h0 is not None and (h0.ndim and h0.shape != (n,)
+                           or not np.all(np.isfinite(h0) & (h0 > 0.0))):
+        raise InvalidInputError(f"bad first step {first_step!r} ({n} rows)")
     Y = y.reshape(n, math.prod(shape[1:]))  # a view of the result rows
     stats = StepStats()
     taken, rejected = np.zeros((2, n), dtype=int)  # steps per row
     prev = np.full(n, 1e-4)  # PI controller memory: last accepted error ratio
+    want = np.full(n, math.nan if h0 is None else h0)  # unclipped steps
     knots = np.append(np.unique([b for b in map(float, breakpoints)
                                  if math.isfinite(b)]), math.inf)
     floor = _HMIN_REL * np.abs([s, t]).max(initial=1.0)  # >= each row's floor
@@ -242,8 +257,8 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
 
     def start(i):
         """Begin a smooth segment at tau for the rows i: a fresh first
-        stage (the right-hand side may jump at a breakpoint) and an
-        initial step from the magnitude/velocity ratio."""
+        stage (the right-hand side may jump at a breakpoint) and the
+        initial step guess, or on a first segment the given first step."""
         # Clamp stage times one ulp inside the segment so the right-hand
         # side is never sampled on the far side of a declared breakpoint
         # (stage abscissae can land exactly on, or round past, an end).
@@ -254,6 +269,8 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
         d0, d1 = np.abs(x[i]).max(axis=1), np.abs(K[0, i]).max(axis=1)
         h[i] = np.maximum(np.fmin(bi - a, 1e-2 * (d0 + ATOL_FLOOR)
                                   / (d1 + ATOL_FLOOR)), 1e-10 * (bi - a))
+        if h0 is not None:  # no row has stepped yet: want holds h0
+            h[i] = np.where(a == s[rows[i]], want[rows[i]], h[i])
 
     while rows.size:
         if (stop := b - tau <= end).any():
@@ -272,6 +289,7 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
                 start(stop)
             continue
         remaining = b - tau
+        want[rows] = h
         h = np.minimum(h, remaining)
         spent = taken[rows] + rejected[rows]
         if spent.max() >= _MAX_STEPS:
@@ -347,4 +365,5 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
         prev[rows[acc]] = ratio[acc]
     stats.steps_taken = int(taken.sum())
     stats.steps_rejected = int(rejected.sum())
+    stats.next_step = want
     return y, stats

@@ -154,9 +154,11 @@ class ChainEvaluator:
         Needs t <= u_N.  All rows march together from the first u_m >= t;
         each leg is one integrator call on the live rows, and one
         accumulator undoes Lam_m on them with one block solve per factor,
-        so each row gets the bits it would get alone.  A row retires after
-        two consecutive increments below tolerance; if the horizon runs
-        out first it keeps its last approximant with converged=False.
+        so each row gets the bits it would get alone.  A row starts each
+        leg with the step its last leg (t -> u_m0 included) ended on, so
+        legs skip the step-size ramp-up.  A row retires after two
+        consecutive increments below tolerance; if the horizon runs out
+        first it keeps its last approximant with converged=False.
         """
         u = self.schedule.u
         N = self.schedule.horizon_N
@@ -170,9 +172,11 @@ class ChainEvaluator:
         live = np.flatnonzero(W.any(axis=1))
         if not live.size:
             return out
+        step = None  # the live rows' next steps, once a leg has run
         if u[m0] > t:
-            W[live], _ = _evolve_one(self.field, t, u[m0], W[live],
-                                     self.tol_ode)
+            W[live], stats = _evolve_one(self.field, t, u[m0], W[live],
+                                         self.tol_ode)
+            step = stats.next_step
         acc = InverseTransitionProduct.identity(self.field.dim)
         for j in range(m0):
             acc = acc.push(self.step_factor(j))
@@ -182,8 +186,10 @@ class ChainEvaluator:
         small_run = [0] * len(out)
         m = m0
         while m < N and live.size:
-            W[live], _ = _evolve_one(self.field, u[m], u[m + 1], W[live],
-                                     self.tol_ode)
+            W[live], stats = _evolve_one(self.field, u[m], u[m + 1],
+                                         W[live], self.tol_ode,
+                                         first_step=step)
+            step = stats.next_step
             acc = acc.push(self.step_factor(m))
             m += 1
             keep = []
@@ -199,7 +205,7 @@ class ChainEvaluator:
                     + ((m, float(np.linalg.norm(W[i])), inc),))
                 if not done:
                     keep.append(k)
-            live = live[keep]
+            live, step = live[keep], step[keep]
         return out
 
     # -- consistency checks ----------------------------------------------

@@ -113,22 +113,28 @@ class FlowResult:
 
 
 def _evolve_one(field: FieldSpec, s: float, t: float, Z: np.ndarray,
-                tol: float, on_step=None) -> tuple[np.ndarray, StepStats]:
+                tol: float, on_step=None, first_step=None
+                ) -> tuple[np.ndarray, StepStats]:
     """One leg [s, t] for a block Z of states, shape (n, dim), each row
     controlled relative to its own state."""
     return integrate_adaptive(
         lambda tau, Y: -field.h(Y, tau), s, t, Z, tol,
         breakpoints=field.breakpoints,
         escape_radius=1.0 - ESCAPE_MARGIN,
-        on_step=on_step, atol=0.0)
+        on_step=on_step, atol=0.0, first_step=first_step)
+
+
+def _result(images: np.ndarray, stats: StepStats) -> FlowResult:
+    """Read-only images with the counters of their integration."""
+    images.setflags(write=False)
+    return FlowResult(images, stats.steps_taken, stats.steps_rejected,
+                      stats.max_local_error, stats.rhs_evaluations)
 
 
 def evolve(request: FlowRequest) -> FlowResult:
     """Evolve every start point through [s, t] as one block."""
-    images, stats = _evolve_one(request.field, request.s, request.t,
-                                request.points, request.tol)
-    images.setflags(write=False)
-    return FlowResult(images=images, **vars(stats))
+    return _result(*_evolve_one(request.field, request.s, request.t,
+                                request.points, request.tol))
 
 
 def trajectories(request: FlowRequest
@@ -153,8 +159,7 @@ def trajectories(request: FlowRequest
         if times[-1] != request.t:
             times.append(request.t)
             states.append(w)
-    images.setflags(write=False)
-    return FlowResult(images=images, **vars(stats)), paths
+    return _result(images, stats), paths
 
 
 def trace(field: FieldSpec, s: float, t: float, z, tol: float = 1e-10

@@ -251,6 +251,28 @@ def test_batched_rows_match_lone_evaluation(chain_for):
                                         want.converged, want.history)
 
 
+def test_legs_resume_from_the_last_step(monkeypatch):
+    # a fresh leg ramps its step up from 0.01 |z| / |h(z)| and takes 12
+    # steps per unit of mass on koebe-1d at tol 1e-10; a leg that starts
+    # from the step its row ended the last leg on takes 6 or 7
+    field = F.builtin_field("koebe-1d")
+    ev = CH.ChainEvaluator(field, S.build_schedule(field.linear, N=30),
+                           tol_ode=1e-10)
+    evolve_one = CH._evolve_one
+
+    def counted(*args, **kwargs):
+        y, stats = evolve_one(*args, **kwargs)
+        legs.append(stats.steps_taken / len(y))
+        return y, stats
+
+    monkeypatch.setattr(CH, "_evolve_one", counted)
+    for r in (0.1, 0.5, 0.8):
+        legs = []
+        cv = ev.eval(0.3, np.array([r + 0j]))  # t -> u_1, then u_1 -> ...
+        assert cv.converged and len(legs) > 12
+        assert max(legs[2:]) <= 8, (r, legs)
+
+
 @pytest.mark.parametrize("make", [
     lambda: F.builtin_field("constant-linear", {"dim": 8}),
     lambda: F.parse_field_config(TRIG_FILE_FIELD),

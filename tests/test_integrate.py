@@ -157,27 +157,37 @@ _SPANS = [(0.0, 3.0), (0.5, 1.0), (1.2, 2.8), (2.0, 2.0), (0.9, 1.1),
           (0.0, 0.4), (2.5, 4.0)]
 
 
+#: a first step per row: inside its first segment, or past it
+_FIRST = [0.3, 0.05, 0.9, 0.1, 0.02, 1.0, 0.2]
+
+
 def test_rows_with_own_spans_step_as_they_would_alone():
     y0 = np.array([[0.6 + 0.1j, -0.2j], [0.3, 0.4], [0.05j, 0.7],
                    [0.2, 0.2], [-0.5, 0.1], [0.9, 0.0], [0.1, 0.1j]])
-    alone = [integrate_adaptive(_jumpy, s, t, y[None], 1e-10,
-                                breakpoints=_KNOTS)
-             for (s, t), y in zip(_SPANS, y0)]
-    assert alone[3][0][0].tobytes() == y0[3].tobytes()  # zero span: as is
-    assert alone[3][1].rhs_evaluations == 0
-    for order in (range(7), (3, 6, 0, 5, 1, 4, 2), (6, 5, 4, 3, 2, 1, 0)):
-        order = list(order)
-        s, t = np.array(_SPANS)[order].T
-        y, stats = integrate_adaptive(_jumpy, s, t, y0[order], 1e-10,
-                                      breakpoints=_KNOTS)
-        for row, k in zip(y, order):
-            assert row.tobytes() == alone[k][0][0].tobytes(), (order, k)
-        assert (stats.steps_taken, stats.steps_rejected,
-                stats.rhs_evaluations, stats.max_local_error) == (
-            sum(a[1].steps_taken for a in alone),
-            sum(a[1].steps_rejected for a in alone),
-            sum(a[1].rhs_evaluations for a in alone),
-            max(a[1].max_local_error for a in alone))
+    # fresh initial steps, then a first step of each row's own
+    for first in (None, _FIRST):
+        alone = [integrate_adaptive(_jumpy, s, t, y[None], 1e-10,
+                                    breakpoints=_KNOTS,
+                                    first_step=first and first[k])
+                 for k, ((s, t), y) in enumerate(zip(_SPANS, y0))]
+        assert alone[3][0][0].tobytes() == y0[3].tobytes()  # zero span
+        assert alone[3][1].rhs_evaluations == 0
+        for order in (range(7), (3, 6, 0, 5, 1, 4, 2), (6, 5, 4, 3, 2, 1, 0)):
+            order = list(order)
+            s, t = np.array(_SPANS)[order].T
+            y, stats = integrate_adaptive(
+                _jumpy, s, t, y0[order], 1e-10, breakpoints=_KNOTS,
+                first_step=first and np.array(first)[order])
+            for row, k in zip(y, order):
+                assert row.tobytes() == alone[k][0][0].tobytes(), (order, k)
+            assert (stats.steps_taken, stats.steps_rejected,
+                    stats.rhs_evaluations, stats.max_local_error) == (
+                sum(a[1].steps_taken for a in alone),
+                sum(a[1].steps_rejected for a in alone),
+                sum(a[1].rhs_evaluations for a in alone),
+                max(a[1].max_local_error for a in alone))
+            assert stats.next_step.tobytes() == np.concatenate(
+                [alone[k][1].next_step for k in order]).tobytes()
     # a scalar end shared by rows with their own starts
     y, _ = integrate_adaptive(_jumpy, np.array([0.0, 1.2]), 2.8, y0[:2],
                               1e-10, breakpoints=_KNOTS)
@@ -240,3 +250,71 @@ def test_step_budget_error_names_the_rows_own_span(monkeypatch):
 def test_spans_admission(s, t):
     with pytest.raises(InvalidInputError):
         integrate_adaptive(_decay, s, t, np.full((3, 1), 0.1 + 0j), 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# first steps and reported next steps
+
+
+def _accepted(s, t, y0, **kw):
+    """Accepted step times of one row, and its integration stats."""
+    seen = []
+    _, stats = integrate_adaptive(
+        _jumpy, s, t, y0, 1e-10, breakpoints=_KNOTS,
+        on_step=lambda rows, taus, states: seen.extend(taus.tolist()), **kw)
+    return seen, stats
+
+
+def test_first_step_is_the_first_trial_step_clipped_to_the_segment():
+    y0 = np.array([[0.4 + 0.2j]])
+    seen, stats = _accepted(0.0, 0.9, y0, first_step=0.05)
+    assert seen[0] == 0.0 + 0.05 and stats.steps_rejected == 0
+    # a first step past the segment end lands on it in one step
+    seen, stats = _accepted(0.0, 0.1, y0, first_step=5.0)
+    assert seen == [0.1] and stats.steps_rejected == 0
+    # the clipped step is not the next step: the proposal it came from is
+    assert stats.next_step.tolist() == [5.0]
+
+
+def test_next_step_is_the_proposal_before_the_last_clip():
+    y0 = np.array([[0.4 + 0.2j]])
+    long, stats = _accepted(0.0, 0.9, y0)
+    assert stats.steps_rejected == 0 and len(long) > 3
+    # end a span between two accepted times of the longer run: it steps
+    # as the longer run up to long[k], then clips the step it proposes
+    k = len(long) // 2
+    end = 0.5 * (long[k] + long[k + 1])
+    short, stats = _accepted(0.0, end, y0)
+    assert short == long[:k + 1] + [end]
+    proposal = long[k + 1] - long[k]
+    assert stats.next_step[0] == pytest.approx(proposal, rel=1e-12)
+    assert stats.next_step[0] > end - long[k]
+    # a span without a step reports its first step, NaN without one
+    assert _accepted(2.0, 2.0, y0, first_step=0.3)[1].next_step == [0.3]
+    assert np.isnan(_accepted(2.0, 2.0, y0)[1].next_step).all()
+
+
+def test_segments_after_a_breakpoint_start_fresh():
+    # the span [0.8, 1.8] is cut at 1.0; the first step only replaces the
+    # initial guess of [0.8, 1.0], and [1.0, 1.8] starts as it would alone
+    y0 = np.array([[0.4 + 0.2j]])
+    warm, stats = _accepted(0.8, 1.8, y0, first_step=0.15)
+    assert warm[0] == 0.8 + 0.15 and stats.steps_rejected == 0
+    after = [tau for tau in warm if tau > 1.0]
+    x1, _ = integrate_adaptive(_jumpy, 0.8, 1.0, y0, 1e-10,
+                               breakpoints=_KNOTS, first_step=0.15)
+    fresh, _ = _accepted(1.0, 1.8, x1)
+    assert after[0] == fresh[0] < 1.0 + 0.05
+
+
+@pytest.mark.parametrize("first", [
+    np.nan, np.inf, 0.0, -0.1,
+    np.array([0.1, 0.1]),           # one entry too few
+    np.full((3, 1), 0.1),           # not 1-D
+    np.array([0.1, np.nan, 0.1]),
+    np.array([0.1, 0.0, 0.1]),
+])
+def test_first_step_admission(first):
+    with pytest.raises(InvalidInputError):
+        integrate_adaptive(_decay, 0.0, 1.0, np.full((3, 1), 0.1 + 0j),
+                           1e-10, first_step=first)
