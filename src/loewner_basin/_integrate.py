@@ -6,9 +6,11 @@ estimate combines the embedded 5th and 3rd order differences as
 e5^2 / hypot(e5, e3 / 10) of their max-norms e5 and e3, formed without
 squaring a raw error (the square of a tiny state's error underflows to
 0 and would accept any step).  Acceptance uses local error per unit
-step against the scale atol + tol * |row|.  Flow legs pass atol = 0,
-pure relative control (see ``loewner_basin.flow``); the default
-absolute floor of 1e-14 now serves only transition matrices.
+step against the scale tol * max(|x|, |x8|), each row relative to its
+own state before and after the step: there is no absolute floor, which
+would stop resolving a decaying state (a flow leg, or a transition
+factor's entries) once it fell below the floor.  The caller must
+guarantee that a nonzero row never vanishes.
 
 Axis 0 of the state holds independent rows, all stepped by one call,
 and each row has its own time span (a scalar span is shared by all).
@@ -119,7 +121,7 @@ _E3 = _A[12] - np.array([
     0.733846688281611857341361741547, 0.0, 0.0,
     0.220588235294117647058823529412e-1, 0.0])
 
-ATOL_FLOOR = 1e-14
+_GUESS_GUARD = 1e-14  # keeps the initial step guess finite at 0
 _SAFETY = 0.9
 _ALPHA = 0.7 / 8.0   # PI exponent on the current error ratio
 _BETA = 0.4 / 8.0    # PI exponent on the previous error ratio
@@ -180,8 +182,8 @@ def _span(s: np.ndarray, t: np.ndarray, row: int) -> str:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
                        *, breakpoints=(), escape_radius: float | None = None,
-                       on_step=None, atol: float | None = None,
-                       first_step=None) -> tuple[np.ndarray, StepStats]:
+                       on_step=None, first_step=None
+                       ) -> tuple[np.ndarray, StepStats]:
     """Integrate y' = rhs(tau, y) over [s_i, t_i] for every row i of y0.
 
     Parameters
@@ -195,8 +197,8 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
     y0 : ndarray
         Initial states, shape (n, ...); axis 0 indexes independent rows.
     tol : float
-        Local error per unit step tolerance (relative part; the absolute
-        floor is ``atol``).
+        Local error per unit step tolerance, relative to each row's
+        max-norm; a nonzero row must never vanish.
     breakpoints : iterable of float
         Times the stepper must not straddle; each row's span is cut at
         the ones strictly inside it.
@@ -207,10 +209,6 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
         Called after every accepted step (not at the initial points) with
         the indices of the rows that accepted it, their times and their
         states (shape (k,) + y0.shape[1:]).
-    atol : float, optional
-        Absolute error floor, default 1e-14 (transition matrices).  0.0
-        gives pure relative control, which the flow uses: there the
-        caller must guarantee that a nonzero state never vanishes.
     first_step : float or 1-D array, optional
         Finite first trial steps > 0, shared or one per row, replacing
         the initial guess on each row's first segment, clipped to it and
@@ -226,10 +224,6 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
     shape, n = y.shape, len(y)
     s, t = _check_spans(s, t, n)
     tol = check_tol(tol)
-    if atol is None:
-        atol = ATOL_FLOOR
-    elif not 0.0 <= atol <= 1e-2:
-        raise InvalidInputError(f"atol {atol} outside [0, 1e-2]")
     h0 = first_step if first_step is None else np.asarray(first_step, float)
     if h0 is not None and (h0.ndim and h0.shape != (n,)
                            or not np.all(np.isfinite(h0) & (h0 > 0.0))):
@@ -267,8 +261,8 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
         end[i] = 1e-15 * np.maximum(1.0, np.abs(bi))
         K[0, i] = f(np.minimum(np.maximum(a, lo[i]), hi[i]), x[i])
         d0, d1 = np.abs(x[i]).max(axis=1), np.abs(K[0, i]).max(axis=1)
-        h[i] = np.maximum(np.fmin(bi - a, 1e-2 * (d0 + ATOL_FLOOR)
-                                  / (d1 + ATOL_FLOOR)), 1e-10 * (bi - a))
+        h[i] = np.maximum(np.fmin(bi - a, 1e-2 * (d0 + _GUESS_GUARD)
+                                  / (d1 + _GUESS_GUARD)), 1e-10 * (bi - a))
         if h0 is not None:  # no row has stepped yet: want holds h0
             h[i] = np.where(a == s[rows[i]], want[rows[i]], h[i])
 
@@ -329,7 +323,7 @@ def integrate_adaptive(rhs, s, t, y0: np.ndarray, tol: float,
             raise NumericalFailureError(
                 f"non-finite step at t = {float(tau[k])!r} on "
                 f"{_span(s, t, rows[k])}", iterations=int(taken[rows[k]]))
-        scale = atol + tol * np.maximum(np.abs(x).max(axis=1), x8_max)
+        scale = tol * np.maximum(np.abs(x).max(axis=1), x8_max)
         ratio = np.maximum(np.divide(est, h * scale, where=est > 0.0,
                                      out=np.zeros(len(est))), 1e-16)
         rej = ratio > 1.0

@@ -48,8 +48,6 @@ from .schedule import Schedule
 
 #: increments below floor * (1 + |g|) are numerical noise, not signal
 INCREMENT_FLOOR = 1e-13
-#: schedule steps an evaluation takes before it may declare convergence
-_MIN_STEPS = 2
 #: time and state steps of the central differences in pde_residual
 _DT = 1e-4
 _DZ = 1e-5
@@ -198,7 +196,7 @@ class ChainEvaluator:
                 floor = INCREMENT_FLOOR * (1.0 + float(np.linalg.norm(g)))
                 small_run[i] = (small_run[i] + 1
                                 if inc <= max(self.tol_chain, floor) else 0)
-                done = small_run[i] >= 2 and m - m0 >= _MIN_STEPS
+                done = small_run[i] >= 2
                 out[i] = ChainValue(
                     value=g, m_used=m, last_increment=inc, converged=done,
                     history=out[i].history

@@ -31,6 +31,7 @@ budget of 100,000 steps, degenerate transition).
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -56,7 +57,7 @@ from .fields import (FieldSpec, SamplePlan, builtin_field, class_n_check,
 # target of the benchmark's span tracer (bench/tracer.py).
 from .flow import (FlowRequest, decay_bounds_check, evolve, semigroup_defect,
                    trace, trajectories)
-from .linear import VERDICT_VIOLATED, LinearPath, classify_hypotheses
+from .linear import VERDICT_VIOLATED, classify_hypotheses
 from .schedule import build_schedule, contraction_check
 
 SCHEMA_VERSION = 1
@@ -220,9 +221,10 @@ def _parse_params(items) -> dict:
 def _load_field(args) -> tuple[FieldSpec, dict]:
     """Build the field and the canonical config fragment describing it.
 
-    The field's path gets ``--tol-quad`` as its quadrature tolerance, so
-    every mass integral a command computes honours it (constant paths
-    integrate in closed form and keep theirs)."""
+    The field's path gets ``--tol-quad`` as its quadrature tolerance on
+    every path, constant ones too (they still integrate in closed form),
+    so every mass integral, unit-mass time and decay slack a command
+    computes honours it."""
     if args.field is not None:
         cfg = read_field_config(args.field)
         field = parse_field_config(cfg)
@@ -232,12 +234,9 @@ def _load_field(args) -> tuple[FieldSpec, dict]:
         field = builtin_field(args.builtin, params)
         descriptor = {"source": "builtin", "family": args.builtin,
                       "params": params}
-    path = field.linear
-    if path.quad_tol != args.tol_quad and not path.is_constant:
-        field = dataclasses.replace(field, linear=LinearPath(
-            field.dim, path.evaluate, breakpoints=path.breakpoints,
-            quad_tol=args.tol_quad))
-    return field, descriptor
+    path = copy.copy(field.linear)
+    path.quad_tol = args.tol_quad
+    return dataclasses.replace(field, linear=path), descriptor
 
 
 def _check_run_config(args):
@@ -346,8 +345,7 @@ def _make_manifest(args, descriptor) -> dict:
 
 
 def _schedule(args, field: FieldSpec, *, strict: bool = True):
-    return build_schedule(field.linear, N=args.horizon,
-                          ell=args.ell, tol=min(args.tol_ode, 1e-10),
+    return build_schedule(field.linear, N=args.horizon, ell=args.ell,
                           strict=strict)
 
 

@@ -121,7 +121,7 @@ def _evolve_one(field: FieldSpec, s: float, t: float, Z: np.ndarray,
         lambda tau, Y: -field.h(Y, tau), s, t, Z, tol,
         breakpoints=field.breakpoints,
         escape_radius=1.0 - ESCAPE_MARGIN,
-        on_step=on_step, atol=0.0, first_step=first_step)
+        on_step=on_step, first_step=first_step)
 
 
 def _result(images: np.ndarray, stats: StepStats) -> FlowResult:

@@ -505,11 +505,12 @@ def transition_matrix(path: LinearPath, s, t, tol: float = 1e-10
     """Linear transition factor: solve J' = -A(tau) J, J(s) = I, to t.
 
     For commuting families this equals exp(-int_s^t A).  Integrated
-    with the shared embedded RK pair; steps never straddle path
-    breakpoints.  Scalar s and t give one (q, q) factor; arrays of
-    starts and ends (or one scalar and one array) give the stack
-    (n, q, q) from one integrator call, each factor bit-identical to
-    its scalar call.
+    with the shared embedded RK pair, each factor relative to its own
+    max-norm (J is invertible, so no factor vanishes and a decaying one
+    stays resolved); steps never straddle path breakpoints.  Scalar s
+    and t give one (q, q) factor; arrays of starts and ends (or one
+    scalar and one array) give the stack (n, q, q) from one integrator
+    call, each factor bit-identical to its scalar call.
     """
     n = max(np.size(s), np.size(t))
     J, _ = integrate_adaptive(lambda tau, J: -(path.A(tau) @ J), s, t,

@@ -34,14 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import check_tol
 from .errors import (HorizonExhaustedError, InvalidInputError,
                      NumericalFailureError, ScheduleRejectedError)
 from .fields import C_of, SamplePlan, c_of, check_real
 from .flow import decay_bounds_check
 from .linear import LinearPath, ell_estimate
 
-_MAX_BRACKET_DOUBLINGS = 80
 _MAX_ROOT_ITERS = 200
 #: latest time at which compute_times may place a unit-mass time
 _MAX_TIME = 1e6
@@ -102,20 +100,21 @@ class Schedule:
         }
 
 
-def compute_times(path: LinearPath, N: int, tol: float = 1e-10) -> tuple:
+def compute_times(path: LinearPath, N: int) -> tuple:
     """Solve M(u_n) = n for n = 0..N.
 
     Brackets each time by doubling past the previous one, then closes
-    in with a bisection-guarded secant until |M(u) - n| <= tol or the
-    bracket collapses to relative width 1e-15.  Each query integrates
-    from the bracket's lower end, whose residual M - n is carried.
-    Raises HorizonExhaustedError when the mass M cannot reach N before
-    t = 1e6 (the field stops contracting too early), and
+    in with a bisection-guarded secant until |M(u) - n| <= tol, the
+    path's ``quad_tol`` (M is known no better than its quadrature), or
+    the bracket collapses to relative width 1e-15.  Each query
+    integrates from the bracket's lower end, whose residual M - n is
+    carried.  Raises HorizonExhaustedError when the mass M cannot reach
+    N before t = 1e6 (the field stops contracting too early), and
     NumericalFailureError when 200 iterations leave a time unconverged.
     """
     if N < 1:
         raise InvalidInputError(f"horizon N must be >= 1, got {N}")
-    tol = check_tol(tol)
+    tol = path.quad_tol
     us = [0.0]
     f_u = 0.0  # M(u) - n at u = us[-1], for the n just placed
     for n in range(1, N + 1):
@@ -124,18 +123,16 @@ def compute_times(path: LinearPath, N: int, tol: float = 1e-10) -> tuple:
         step = max(1.0, (us[-1] - us[-2]) if n >= 2 else 1.0)
         hi = start + step
         fhi = flo + path.masses(lo, hi)[0]
-        doublings = 0
         while fhi < -tol:
             lo, flo = hi, fhi
             step *= 2.0
             hi = start + step
-            if hi > _MAX_TIME or doublings > _MAX_BRACKET_DOUBLINGS:
-                reached = n + flo + path.masses(lo, min(hi, _MAX_TIME))[0]
+            if hi > _MAX_TIME:
+                reached = n + flo + path.masses(lo, _MAX_TIME)[0]
                 raise HorizonExhaustedError(
                     f"mass integral reaches only {reached:.6g} < {n} before "
                     f"t = {_MAX_TIME:g}; cannot place time u_{n}")
             fhi = flo + path.masses(lo, hi)[0]
-            doublings += 1
         u, f_u = hi, fhi
         for _ in range(_MAX_ROOT_ITERS):
             if abs(f_u) <= tol:
@@ -180,17 +177,18 @@ def radius_for(ell: float, h: int) -> float:
 
 
 def build_schedule(path: LinearPath, N: int = 30, ell: float | None = None,
-                   *, tol: float = 1e-10, strict: bool = True) -> Schedule:
+                   *, strict: bool = True) -> Schedule:
     """Compute the unit-mass times and the contraction budget.
 
-    Unit-mass times must fall before t = 1e6.  When ``ell`` is None it
+    Unit-mass times come from ``compute_times``, to the path's
+    ``quad_tol``, and must fall before t = 1e6.  When ``ell`` is None it
     is measured as max k/m over a uniform grid of 4097 points on
     [0, u_N] merged with the declared breakpoints.  With ``strict``
     (default) a schedule whose budget fails mu**h < nu raises
     ScheduleRejectedError carrying the failing step and the full
     schedule; otherwise it is returned with ``accepted=False``.
     """
-    u = compute_times(path, N, tol=tol)
+    u = compute_times(path, N)
     if ell is None:
         grid = np.union1d(np.linspace(0.0, u[-1], _ELL_GRID),
                           [b for b in path.breakpoints if 0.0 <= b <= u[-1]])

@@ -127,17 +127,17 @@ def test_criterion_05_schedule_constants(capsys):
                            "unit-ratio budget constants are reproduced"):
         # constant unit mass: the times are the integers
         ident = LinearPath.constant(np.eye(1, dtype=complex))
-        u = S.compute_times(ident, 8, tol=1e-11)
+        u = S.compute_times(ident, 8)
         assert max(abs(un - n) for n, un in enumerate(u)) <= 1e-10
         # growing mass 1 + t: first time solves u^2 + 2u - 2 = 0
         grow = LinearPath(1, lambda ts: (1.0 + ts)[:, None, None] + 0j,
                           quad_tol=1e-12)
-        ug = S.compute_times(grow, 2, tol=1e-11)
+        ug = S.compute_times(grow, 2)
         assert abs(ug[1] - (math.sqrt(3.0) - 1.0)) <= 1e-10
         # ratio-one budget: the radius solves ((1+r)/(1-r))^2 = 3/2,
         # the per-step floor is exp(-c(r)) and the worst admissible
         # step is exp(-C(r)); both follow from that radius exactly
-        sched = S.build_schedule(ident, N=5, tol=1e-11)
+        sched = S.build_schedule(ident, N=5)
         assert sched.ell == 1.0 and sched.h == 2
         assert abs(sched.r - 0.1010205) <= 1e-6
         assert abs(sched.mu - math.exp(-1.0 / math.sqrt(1.5))) <= 1e-12

@@ -437,6 +437,23 @@ def test_schedule_tol_quad_keeps_batched_path(capsys, tmp_path, monkeypatch):
         assert abs(mass - n) <= 1e-9 * (1 + n)
 
 
+def test_schedule_times_follow_tol_quad_not_tol_ode(capsys):
+    # the unit-mass times come from quadrature alone: --tol-quad sets
+    # both the mass integrals and the root tolerance, and --tol-ode,
+    # which solves no ODE here, changes nothing
+    def result(*tols):
+        code, payload, _ = run_json(
+            capsys, "schedule", "--builtin", "diagonal-periodic",
+            "--param", "base=[1,1.2]", "--param", "amplitude=[0.3,0.5]",
+            "--param", "frequency=[3,7]", "--horizon", "12", *tols)
+        assert code == 0
+        return payload["result"]
+
+    default = result()
+    assert result("--tol-ode", "1e-12") == default
+    assert result("--tol-quad", "1e-12") != default
+
+
 def test_schedule_large_mass_ratio_has_no_chain(capsys):
     # An honest ell of 2 forces h = 3: the budget still closes, but the
     # limit-map construction is out of reach and the payload must say so.
@@ -540,9 +557,12 @@ def test_verify_refuses_an_underflowing_image(capsys):
     assert "[0.0, 800.0]" in payload["error"]["message"]
 
 
-def test_verify_decay_slack_honours_tol_quad(capsys):
+@pytest.mark.parametrize("family", ["diagonal-periodic", "koebe-1d"])
+def test_verify_decay_slack_honours_tol_quad(capsys, family):
+    # koebe-1d's constant path integrates in closed form, but its decay
+    # slack still covers the quadrature tolerance the run asked for
     _, payload, _ = run_json(
-        capsys, "verify", "--builtin", "diagonal-periodic", "--tol-quad",
+        capsys, "verify", "--builtin", family, "--tol-quad",
         "1e-6", "--intervals", "0:1,1:2", "--radii", "0.5",
         "--directions", "2", "--horizon", "4")
     intervals = payload["result"]["checks"]["decay"]["intervals"]

@@ -54,11 +54,10 @@ def test_breakpoints_make_piecewise_rhs_accurate():
 
 
 def test_pure_relative_control_tracks_decaying_state():
-    # after 60 units the state is ~1e-26; with the default absolute
-    # floor the relative error there is unbounded, with atol=0 the
-    # answer stays correct to many digits relative to itself
+    # after 60 units the state is ~1e-26, and it stays correct to many
+    # digits relative to itself
     y0 = np.array([1.0 + 0j])
-    y, _ = integrate_adaptive(_decay, 0.0, 60.0, y0, 1e-10, atol=0.0)
+    y, _ = integrate_adaptive(_decay, 0.0, 60.0, y0, 1e-10)
     exact = np.exp(-60.0)
     assert abs(y[0] - exact) / exact < 1e-7
 
@@ -88,8 +87,6 @@ def test_input_validation():
         integrate_adaptive(_decay, 1.0, 0.0, y0, 1e-10)
     with pytest.raises(InvalidInputError):
         integrate_adaptive(_decay, 0.0, 1.0, y0, 1e-1)
-    with pytest.raises(InvalidInputError):
-        integrate_adaptive(_decay, 0.0, 1.0, y0, 1e-10, atol=-1.0)
 
 
 def test_non_finite_step_raises():

@@ -381,6 +381,20 @@ def test_transition_matrix_non_normal_vs_expm():
     assert np.max(np.abs(T - want)) < 1e-11
 
 
+@pytest.mark.parametrize("T", [40.0, 60.0])
+def test_transition_matrix_resolves_decaying_entries(T):
+    # exp(-T A) for A = [[1, 0.5], [0, 2]] in closed form; its entries
+    # fall to e^-120, far below any absolute error floor, and each must
+    # be correct relative to its own size
+    path = LinearPath.constant(np.array([[1.0, 0.5], [0.0, 2.0]]))
+    J = transition_matrix(path, 0.0, T)
+    a, d = math.exp(-T), math.exp(-2.0 * T)
+    want = np.array([[a, -0.5 * (a - d)], [0.0, d]])
+    off = want != 0.0
+    assert np.all(np.abs(J - want)[off] <= 1e-8 * np.abs(want[off]))
+    assert J[1, 0] == 0.0
+
+
 def test_transition_matrix_time_varying_scalar():
     path = LinearPath(1, lambda ts: (1.0 + ts)[:, None, None] + 0j)
     T = transition_matrix(path, 0.0, 2.0, tol=1e-12)

@@ -17,7 +17,7 @@ from loewner_basin.linear import LinearPath
 @pytest.fixture(scope="module")
 def identity_schedule():
     path = LinearPath.constant(np.eye(2, dtype=complex))
-    return S.build_schedule(path, N=5, tol=1e-11)
+    return S.build_schedule(path, N=5)
 
 
 def test_unit_mass_times_for_identity(identity_schedule):
@@ -54,7 +54,7 @@ def test_growing_mass_times():
     # m(t) = 1 + t, so M(u) = u + u^2/2 and u_1 solves u^2 + 2u - 2 = 0
     path = LinearPath(
         1, lambda ts: (1.0 + ts)[:, None, None] + 0j, quad_tol=1e-12)
-    u = S.compute_times(path, 3, tol=1e-11)
+    u = S.compute_times(path, 3)
     assert abs(u[1] - (math.sqrt(3.0) - 1.0)) < 1e-10
     for n, un in enumerate(u):
         assert abs(un + un * un / 2.0 - n) < 1e-9
