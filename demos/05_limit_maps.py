@@ -4,7 +4,9 @@ With an accepted schedule, the composition of flow legs from t to u_m,
 renormalized by the inverse transition matrix of the linear part,
 converges as m grows.  The increments between consecutive approximants
 shrink by at least mu^2/nu per step once the evolved state is inside
-the working radius, which is what makes the stopping rule honest.
+the working radius, which is what makes the stopping rule honest: while
+the measured ratios hold steady, the tail of the increments is summed
+in closed form and a row stops once two such extrapolants agree.
 The limit maps f_t intertwine evolution and their own family:
 f_s = f_t o phi_{s,t}, and f_t solves a transport equation in t.
 All of that is checked below on the 1-d Koebe field, whose limit map
@@ -29,12 +31,17 @@ print("   m   |evolved state|   increment")
 for m, aw, inc in cv.history[:12]:
     inside = "inside r" if aw <= sched.r else ""
     print(f"  {m:2d}   {aw:15.9f}   {inc:11.3e}  {inside}")
-print(f"  converged = {cv.converged} after m = {cv.m_used} legs")
+print(f"  converged = {cv.converged} after m = {cv.m_used} legs, "
+      f"stop_rule = {cv.stop_rule}")
+print(f"  last raw increment = {cv.last_increment:.3e}, "
+      f"error_estimate = {cv.error_estimate:.3e}")
 print(f"  value = {cv.value[0]:.12f}")
 print(f"  closed form 0.5 / (1 - 0.5)^2 = {0.5 / 0.25:.12f}")
 print(f"  |error| = {abs(cv.value[0] - 2.0):.3e}")
 print("  Once the evolved state enters the working radius the")
-print("  increments drop by better than mu^2/nu per extra leg.")
+print("  increments drop by better than mu^2/nu per extra leg, so the")
+print("  extrapolated tail is within tolerance long before the raw")
+print("  increment is.")
 
 print()
 print("=" * 72)

@@ -20,6 +20,15 @@ sequence and ``eval_many`` returns their limit.  It is the one
 evaluation loop: all states march u_m0 -> u_m0+1 -> ... together under
 one accumulated product, and ``eval`` is its one-state case.
 
+Each row stops on its geometric tail when it can.  With increments
+d_m = g_m - g_{m-1}, once the last three ratios |d_m| / |d_{m-1}| agree
+to 1 % and the latest, rho, is below mu^2 / nu, the remaining sum is
+d_m rho / (1 - rho) (vector Aitken Delta^2), so E_m = g_m + d_m rho /
+(1 - rho) estimates the limit; the row retires with E_m once two
+successive extrapolants agree to tolerance.  Where the ratios wander
+(time-varying fields) the guard fails and a row stops after two
+consecutive increments within tolerance, as without extrapolation.
+
 Budgets with h >= 3 (mass ratio ell >= 2) would need the approximants
 normalized by higher-degree polynomial jets of the step maps, not just
 the linear factors; that construction is not implemented and such
@@ -48,6 +57,9 @@ from .schedule import Schedule
 
 #: increments below floor * (1 + |g|) are numerical noise, not signal
 INCREMENT_FLOOR = 1e-13
+#: the last three increment ratios must agree to this relative spread
+#: before the geometric tail is extrapolated
+_RATIO_SPREAD = 0.01
 #: time and state steps of the central differences in pde_residual
 _DT = 1e-4
 _DZ = 1e-5
@@ -61,11 +73,16 @@ _SPOT_CHECKS = 3
 class ChainValue:
     """One limit-map evaluation.
 
-    value is the converged approximant; m_used the last schedule index
-    evaluated; last_increment the final approximant difference;
-    converged records whether two consecutive increments fell below
-    tolerance before the horizon ran out.  history holds
-    (m, |state|, increment) per step for diagnostics.
+    value is the limit estimate: the extrapolated geometric tail when
+    stop_rule is "geometric-tail", else the last approximant; m_used the
+    last schedule index evaluated; last_increment the final raw
+    approximant difference; converged records whether a stop rule fired
+    before the horizon ran out.  history holds (m, |state|, increment)
+    per step for diagnostics.  error_estimate is the change between the
+    last two extrapolants on the geometric tail, else last_increment.
+    stop_rule is "geometric-tail", "increments" (two consecutive
+    increments within tolerance), "horizon" (neither fired by u_N) or
+    "zero-state" (z = 0 maps to 0 without a leg).
     """
 
     value: np.ndarray
@@ -73,6 +90,20 @@ class ChainValue:
     last_increment: float
     converged: bool
     history: tuple
+    error_estimate: float
+    stop_rule: str
+
+
+def _steady_ratio(increments: list, bound: float) -> float | None:
+    """The latest ratio of four consecutive increment norms, when the
+    three ratios agree to within _RATIO_SPREAD and the latest is below
+    the proven contraction bound; None otherwise."""
+    if len(increments) < 4 or min(increments[:-1]) <= 0.0:
+        return None
+    ratios = [b / a for a, b in zip(increments, increments[1:])]
+    if max(ratios) > (1.0 + _RATIO_SPREAD) * min(ratios):
+        return None
+    return ratios[-1] if ratios[-1] < bound else None
 
 
 class ChainEvaluator:
@@ -86,7 +117,8 @@ class ChainEvaluator:
     schedule : Schedule
         An accepted unit-mass schedule with contraction budget h = 2.
     tol_chain : float
-        Stop once two consecutive approximant increments are below
+        Stop once two successive geometric-tail extrapolants, or else two
+        consecutive approximant increments, differ by at most
         max(tol_chain, floor); also the advertised accuracy.
     tol_ode : float
         Local error tolerance for every evolution leg and transition
@@ -154,9 +186,12 @@ class ChainEvaluator:
         accumulator undoes Lam_m on them with one block solve per factor,
         so each row gets the bits it would get alone.  A row starts each
         leg with the step its last leg (t -> u_m0 included) ended on, so
-        legs skip the step-size ramp-up.  A row retires after two
-        consecutive increments below tolerance; if the horizon runs out
-        first it keeps its last approximant with converged=False.
+        legs skip the step-size ramp-up.  A row retires with its
+        extrapolated limit once two successive guarded extrapolants agree
+        to tolerance, or with its approximant after two consecutive
+        increments below tolerance; if the horizon runs out first it
+        keeps its last approximant with converged=False.  Each row's stop
+        state is its own, so batching does not change its bits.
         """
         u = self.schedule.u
         N = self.schedule.horizon_N
@@ -166,7 +201,8 @@ class ChainEvaluator:
         m0 = bisect_left(u, t)
         out = [ChainValue(value=np.zeros(self.field.dim, dtype=complex),
                           m_used=m0, last_increment=0.0, converged=True,
-                          history=()) for _ in range(W.shape[0])]
+                          history=(), error_estimate=0.0,
+                          stop_rule="zero-state") for _ in range(W.shape[0])]
         live = np.flatnonzero(W.any(axis=1))
         if not live.size:
             return out
@@ -180,8 +216,11 @@ class ChainEvaluator:
             acc = acc.push(self.step_factor(j))
         for i, g in zip(live, acc.apply(W[live])):
             out[i] = ChainValue(value=g, m_used=m0, last_increment=0.0,
-                                converged=False, history=())
+                                converged=False, history=(),
+                                error_estimate=0.0, stop_rule="horizon")
+        bound = self.schedule.mu ** 2 / self.schedule.nu
         small_run = [0] * len(out)
+        tails = [None] * len(out)  # each row's last guarded extrapolant
         m = m0
         while m < N and live.size:
             W[live], stats = _evolve_one(self.field, u[m], u[m + 1],
@@ -192,17 +231,29 @@ class ChainEvaluator:
             m += 1
             keep = []
             for k, (i, g) in enumerate(zip(live, acc.apply(W[live]))):
-                inc = float(np.linalg.norm(g - out[i].value))
-                floor = INCREMENT_FLOOR * (1.0 + float(np.linalg.norm(g)))
-                small_run[i] = (small_run[i] + 1
-                                if inc <= max(self.tol_chain, floor) else 0)
-                done = small_run[i] >= 2
-                out[i] = ChainValue(
-                    value=g, m_used=m, last_increment=inc, converged=done,
-                    history=out[i].history
-                    + ((m, float(np.linalg.norm(W[i])), inc),))
-                if not done:
+                d = g - out[i].value
+                inc = float(np.linalg.norm(d))
+                tol = max(self.tol_chain,
+                          INCREMENT_FLOOR * (1.0 + float(np.linalg.norm(g))))
+                history = out[i].history + (
+                    (m, float(np.linalg.norm(W[i])), inc),)
+                small_run[i] = small_run[i] + 1 if inc <= tol else 0
+                rho = _steady_ratio([row[2] for row in history[-4:]], bound)
+                tail = None if rho is None else g + d * (rho / (1.0 - rho))
+                change = (None if tail is None or tails[i] is None
+                          else float(np.linalg.norm(tail - tails[i])))
+                tails[i] = tail
+                if change is not None and change <= tol:
+                    value, estimate, rule = tail, change, "geometric-tail"
+                elif small_run[i] >= 2:
+                    value, estimate, rule = g, inc, "increments"
+                else:
+                    value, estimate, rule = g, inc, "horizon"
                     keep.append(k)
+                out[i] = ChainValue(
+                    value=value, m_used=m, last_increment=inc,
+                    converged=rule != "horizon", history=history,
+                    error_estimate=estimate, stop_rule=rule)
             live, step = live[keep], step[keep]
         return out
 

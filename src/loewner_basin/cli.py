@@ -433,6 +433,8 @@ def _cmd_chain(args, field: FieldSpec) -> tuple[dict, int, dict]:
         "m_used": [cv.m_used for cv in values],
         "converged": [cv.converged for cv in values],
         "last_increment": [cv.last_increment for cv in values],
+        "error_estimate": [cv.error_estimate for cv in values],
+        "stop_rule": [cv.stop_rule for cv in values],
     }
     files = {}
     if args.dense:

@@ -341,6 +341,12 @@ def _quadratic_perturbation(params: dict) -> FieldSpec:
     path = LinearPath.constant(A)
     spec = FieldSpec(dim=q, linear=path, remainder=remainder,
                      family_tag="quadratic-perturbation")
+    # |T(z, z)| <= |T| |z|^2 with |T| = sqrt(sum_i ||T_i||_2^2), so
+    # Re<h(z), z> >= (m(A) - |T|) |z|^2 on the ball: m(A) > |T| certifies
+    # the field in closed form, and only otherwise does the sample decide
+    if float(path.bounds_many([0.0])[0, 0]) > float(
+            np.linalg.norm(np.linalg.norm(T, ord=2, axis=(1, 2)))):
+        return spec
     # h does not depend on t, so one sample time covers every time
     check = class_n_check(spec, SamplePlan(times=(0.0,)))
     if not check["passed"]:
@@ -367,8 +373,8 @@ def builtin_field(family: str, params: dict | None = None) -> FieldSpec:
     'koebe-1d' (no params), 'quadratic-perturbation' (matrix | dim,
     epsilon, quadratic tensor).  Unknown family names and unknown or
     malformed params are rejected; quadratic-perturbation parameters
-    that break positivity on the validation sample are rejected with
-    witnesses.
+    that the closed-form bound m(A) > |T| does not certify are sampled,
+    and rejected with witnesses when they break positivity there.
     """
     if family not in _FAMILIES:
         raise UnknownFamilyError(

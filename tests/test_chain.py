@@ -11,8 +11,8 @@ from loewner_basin.errors import (ChainUnavailableError,
                                   HorizonExhaustedError, InvalidInputError)
 from loewner_basin.linear import InverseTransitionProduct, transition_matrix
 
-from conftest import (CHAIN_FIELD_NAMES, CHAIN_TOL, PIECEWISE_FILE_FIELD,
-                      TRIG_FILE_FIELD)
+from conftest import (CHAIN_FIELD_NAMES, CHAIN_LEG_TOL, CHAIN_TOL,
+                      PIECEWISE_FILE_FIELD, TRIG_FILE_FIELD, unit_directions)
 
 
 def test_koebe_family_solves_transport_equation_symbolically():
@@ -81,13 +81,49 @@ def test_increments_decay_geometrically_inside_radius(chain_for):
     assert checked >= 5
 
 
-def test_converged_implies_increment_below_tolerance(chain_for):
+def test_converged_implies_error_estimate_below_tolerance(chain_for):
+    # a row stopped on its geometric tail has a raw increment far above
+    # tolerance; its error estimate, and for koebe-1d the closed form,
+    # hold it to the tolerance instead
     for name in ("koebe-1d", "quadratic-perturbation"):
         ev = chain_for(name)
         z = 0.4 * np.ones(ev.field.dim) / np.sqrt(ev.field.dim)
         cv = ev.eval(0.0, z.astype(complex))
         assert cv.converged
-        assert cv.last_increment <= CHAIN_TOL
+        assert cv.error_estimate <= CHAIN_TOL
+        if name == "koebe-1d":
+            assert abs(cv.value[0] - 0.4 / 0.6 ** 2) <= 10 * CHAIN_TOL
+
+
+def test_tail_guard_needs_three_steady_ratios_below_the_bound():
+    steady = [1.0, 0.5, 0.25, 0.125]
+    assert CH._steady_ratio(steady, 0.6) == 0.5
+    assert CH._steady_ratio(steady[1:], 0.6) is None  # two ratios only
+    assert CH._steady_ratio(steady, 0.5) is None  # not below the bound
+    assert CH._steady_ratio([0.0, *steady[1:]], 0.6) is None
+    # ratios 0.5, 0.5, 0.504 agree to 1 %; 0.5, 0.5, 0.51 do not
+    assert CH._steady_ratio([1.0, 0.5, 0.25, 0.126], 0.6) == pytest.approx(
+        0.504)
+    assert CH._steady_ratio([1.0, 0.5, 0.25, 0.1275], 0.6) is None
+
+
+def test_rows_off_the_geometric_tail_keep_the_increment_rule():
+    # the trig file's quadratic record varies in time, so its increment
+    # ratios wander: a row either stops on two small increments, or its
+    # extrapolated value is within tolerance of a tighter, longer chain
+    field = F.parse_field_config(TRIG_FILE_FIELD)
+    ev = CH.ChainEvaluator(field, S.build_schedule(field.linear, N=30),
+                           tol_chain=CHAIN_TOL, tol_ode=CHAIN_LEG_TOL)
+    ref = CH.ChainEvaluator(field, S.build_schedule(field.linear, N=45),
+                            tol_chain=1e-12, tol_ode=CHAIN_LEG_TOL)
+    pts = np.concatenate([r * unit_directions(2, 3, seed=3)
+                          for r in (0.2, 0.5, 0.8)])
+    for t in (0.0, 0.7):
+        for cv, want in zip(ev.eval_many(t, pts), ref.eval_many(t, pts)):
+            assert cv.converged and want.converged
+            assert (cv.stop_rule == "increments"
+                    and cv.error_estimate == cv.last_increment
+                    or np.linalg.norm(cv.value - want.value) <= CHAIN_TOL)
 
 
 def test_normalization_telescopes(chain_for):
@@ -228,18 +264,19 @@ def test_eval_many_shapes(chain_for):
 
 def test_batched_rows_match_lone_evaluation(chain_for):
     # each row of eval_many takes exactly the legs and solves it takes
-    # alone, wherever it sits in a batch: with N = 20 the small state
+    # alone, wherever it sits in a batch: with N = 10 the small state
     # converges, the zero state short-cuts and the far state runs out of
     # horizon after taking steps, so rows retire at different m
-    ev = chain_for("quadratic-perturbation", 20)
+    ev = chain_for("quadratic-perturbation", 10)
     u = ev.schedule.u
     d = np.array([0.6 + 0.2j, -0.3 + 0.7j])
     d /= np.linalg.norm(d)
     near, far, zero = 0.1 * d, 0.6 * d, np.zeros(2, dtype=complex)
     for t in (u[1], 0.5 * (u[1] + u[2])):
         alone = [ev.eval(t, z) for z in (near, far, zero)]
-        assert alone[0].converged and alone[0].m_used < 20
+        assert alone[0].converged and alone[0].m_used < 10
         assert not alone[1].converged and len(alone[1].history) > 0
+        assert alone[1].stop_rule == "horizon"
         assert alone[2].converged and alone[2].history == ()
         for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2, 0)):
             pts = np.array([(near, far, zero)[k] for k in order])
@@ -247,17 +284,20 @@ def test_batched_rows_match_lone_evaluation(chain_for):
                 want = alone[k]
                 assert cv.value.tobytes() == want.value.tobytes(), (t, order)
                 assert (cv.m_used, cv.last_increment, cv.converged,
-                        cv.history) == (want.m_used, want.last_increment,
-                                        want.converged, want.history)
+                        cv.history, cv.error_estimate, cv.stop_rule) == (
+                            want.m_used, want.last_increment, want.converged,
+                            want.history, want.error_estimate,
+                            want.stop_rule)
 
 
 def test_legs_resume_from_the_last_step(monkeypatch):
     # a fresh leg ramps its step up from 0.01 |z| / |h(z)| and takes 12
     # steps per unit of mass on koebe-1d at tol 1e-10; a leg that starts
-    # from the step its row ended the last leg on takes 6 or 7
+    # from the step its row ended the last leg on takes 6 or 7; a tight
+    # tol_chain keeps every row marching for more than 12 legs
     field = F.builtin_field("koebe-1d")
     ev = CH.ChainEvaluator(field, S.build_schedule(field.linear, N=30),
-                           tol_ode=1e-10)
+                           tol_chain=1e-12, tol_ode=1e-10)
     evolve_one = CH._evolve_one
 
     def counted(*args, **kwargs):

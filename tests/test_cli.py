@@ -490,6 +490,21 @@ def test_chain_koebe_value(capsys):
     assert abs(val[0] - 2.0) < 1e-6 and abs(val[1]) < 1e-6
 
 
+def test_chain_stops_on_the_geometric_tail_inside_the_default_horizon(
+        capsys):
+    # koebe-1d at z = 0.9 needs more than 30 legs before two increments
+    # fall below 1e-9; the extrapolated tail reaches f_0(0.9) = 90 sooner
+    code, payload, _ = run_json(
+        capsys, "chain", "--builtin", "koebe-1d", "--t", "0",
+        "--points", "[[0.9]]")
+    result = payload["result"]
+    assert code == 0
+    assert result["stop_rule"] == ["geometric-tail"]
+    assert result["m_used"][0] < 30 and result["error_estimate"][0] <= 1e-9
+    re, im = result["values"][0][0]
+    assert abs(complex(re, im) - 90.0) <= 1e-8 * 90.0
+
+
 def test_chain_refused_for_mass_ratio_two(capsys):
     code, payload, _ = run_json(
         capsys, "chain", "--builtin", "constant-linear", "--param",

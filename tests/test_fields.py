@@ -64,6 +64,38 @@ def test_overstrong_quadratic_rejected_with_witnesses():
     assert exc.value.witnesses
 
 
+def test_builtin_quadratic_fields_are_certified_without_sampling(
+        monkeypatch):
+    # m(A) > sqrt(sum_i ||T_i||^2) admits a field in closed form; at
+    # m(A) = 1 = |T| (q = 1, epsilon = 1) the sample decides, and passes
+    calls = []
+    sample = F.class_n_check
+    monkeypatch.setattr(F, "class_n_check",
+                        lambda *a, **k: calls.append(a) or sample(*a, **k))
+    for params in ({"dim": 3}, {"dim": 2, "epsilon": 0.25},
+                   {"dim": 8, "epsilon": 0.1}):
+        F.builtin_field("quadratic-perturbation", params)
+    assert calls == []
+    F.builtin_field("quadratic-perturbation", {"dim": 1, "epsilon": 1.0})
+    assert len(calls) == 1
+
+
+def test_uncertified_quadratic_is_rejected_by_the_sample(monkeypatch):
+    reports = []
+    sample = F.class_n_check
+
+    def counted(*args, **kwargs):
+        reports.append(sample(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(F, "class_n_check", counted)
+    with pytest.raises(FieldRejectedError) as exc:
+        F.builtin_field("quadratic-perturbation", {"dim": 2, "epsilon": 3.0})
+    assert len(reports) == 1
+    assert exc.value.witnesses == reports[0]["witnesses"][:8]
+    assert str(exc.value).endswith("validation sample (min -9.006e-01)")
+
+
 def test_quadratic_rejection_witnesses_are_distinct_states():
     # h does not depend on t, so admission samples one time and no state
     # is reported twice
