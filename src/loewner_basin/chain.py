@@ -7,7 +7,7 @@ normalized approximants of the limit map at time t are
 
     g_m(t, z) = (Lam_0^-1 Lam_1^-1 ... Lam_{m-1}^-1) phi_{t, u_m}(z),
 
-inverse factors applied by linear solves, never by forming inverses.
+the inverses applied as one solve per leg with the product Lam_{m-1}...Lam_0.
 Successive increments g_{m+1} - g_m shrink geometrically: once the
 evolved state has modulus <= r (the schedule's working radius, and the
 decay bounds force that after a burn-in), each step multiplies the
@@ -182,9 +182,9 @@ class ChainEvaluator:
         """Evaluate the time-t limit map at each row of points, |z| < 1.
 
         Needs t <= u_N.  All rows march together from the first u_m >= t;
-        each leg is one integrator call on the live rows, and one
-        accumulator undoes Lam_m on them with one block solve per factor,
-        so each row gets the bits it would get alone.  A row starts each
+        each leg is one integrator call on the live rows, and one block
+        solve with the product Lam_{m-1} ... Lam_0 normalizes them, so
+        each row gets the bits it would get alone.  A row starts each
         leg with the step its last leg (t -> u_m0 included) ended on, so
         legs skip the step-size ramp-up.  A row retires with its
         extrapolated limit once two successive guarded extrapolants agree
@@ -210,7 +210,8 @@ class ChainEvaluator:
         if u[m0] > t:
             W[live], stats = _evolve_one(self.field, t, u[m0], W[live],
                                          self.tol_ode)
-            step = stats.next_step
+            # no row steps if t is within the stepper's end slack of u_m0
+            step = stats.next_step if stats.steps_taken else None
         acc = InverseTransitionProduct.identity(self.field.dim)
         for j in range(m0):
             acc = acc.push(self.step_factor(j))

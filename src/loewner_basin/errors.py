@@ -57,8 +57,8 @@ class EscapeError(LoewnerError):
 
 
 class DegenerateTransitionError(LoewnerError):
-    """A transition factor is numerically singular or the running
-    condition estimate of the accumulated inverse product exceeded its cap."""
+    """The condition number of the accumulated product of transition
+    factors (the chain's normalization) passed its cap of 1e12."""
 
     def __init__(self, message: str, condition_estimate: float | None = None):
         super().__init__(message)

@@ -21,15 +21,14 @@ discretization.  This module provides
   constants and per-criterion verdicts with explicit witnesses;
 * ``transition_matrix``: the linear flow J' = -A(t) J, one factor or a
   stack of factors over many spans from one integrator call;
-* ``InverseTransitionProduct``: applies the inverse of an ordered
-  product of transition factors to vectors through linear solves,
-  never forming an explicit inverse, with a running condition estimate.
+* ``InverseTransitionProduct``: the ordered product of transition
+  factors as one scaled matrix, whose inverse it applies to vectors by
+  one linear solve (never an explicit inverse), with its condition number.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,7 +43,7 @@ MAX_DIM = 8
 GRID_MARGIN = 1e-8
 #: relative tolerance for the commuting-integrals test
 COMMUTATOR_TOL = 1e-10
-#: running condition-estimate cap for accumulated inverse products
+#: cap on the 2-norm condition number of an accumulated factor product
 CONDITION_CAP = 1e12
 #: grid points between which classify_hypotheses tests commutation
 _COMMUTATION_ANCHORS = 7
@@ -523,64 +522,63 @@ def transition_matrix(path: LinearPath, s, t, tol: float = 1e-10
 class InverseTransitionProduct:
     """Applies the inverse of an ordered product of transition factors.
 
-    For factors L_0, L_1, ..., L_{m-1} (composing left to right, so the
-    product is L_{m-1} @ ... @ L_0), ``apply(v)`` returns
-    (L_{m-1} ... L_0)^{-1} v by solving one linear system per factor,
-    newest factor first, for a vector or for every row of a block at
-    once.  No explicit inverse is ever formed.
-
-    A running condition estimate (product of per-factor 2-norm
-    condition numbers) guards against degeneracy: pushing a factor that
-    lifts the estimate past 1e12 raises DegenerateTransitionError.
+    For factors L_0, L_1, ..., L_{m-1} (composing left to right) it holds
+    the product P = L_{m-1} @ ... @ L_0 as 2^e Q, Q scaled by a power of
+    two to a largest entry of modulus in [1/2, 1): P shrinks like
+    e^-K(u_m), so its entries would underflow once K passes about 700.
+    ``apply(v)`` returns P^{-1} v by one linear solve with Q, for a vector
+    or every row of a block at once, then scales by 2^-e; no explicit
+    inverse is ever formed.  ``condition_estimate`` is the 2-norm
+    condition number of P (exactly that of Q), one SVD per push; a push
+    that lifts it past 1e12, or makes P singular, raises
+    DegenerateTransitionError.  ``len`` counts the factors pushed.
     Instances are immutable values; ``push`` returns a new accumulator,
     so one instance may be shared across threads for reading.
     """
 
-    __slots__ = ("dim", "_factors", "condition_estimate")
+    __slots__ = ("dim", "_Q", "_exp", "_count", "condition_estimate")
 
-    def __init__(self, dim: int, factors: tuple = (),
-                 condition_estimate: float = 1.0):
-        self.dim = dim
-        self._factors = factors
+    def __init__(self, dim: int, Q: np.ndarray, exp: int, count: int,
+                 condition_estimate: float):
+        Q.setflags(write=False)
+        self.dim, self._Q, self._exp, self._count = dim, Q, exp, count
         self.condition_estimate = condition_estimate
 
     @classmethod
     def identity(cls, dim: int) -> "InverseTransitionProduct":
-        return cls(check_dim(dim))
+        return cls(check_dim(dim), np.eye(dim, dtype=complex), 0, 0, 1.0)
 
     def __len__(self) -> int:
-        return len(self._factors)
+        return self._count
 
     def push(self, factor) -> "InverseTransitionProduct":
         """Return a new accumulator whose application also undoes ``factor``."""
         F = validate_matrix(factor)
         if F.shape[0] != self.dim:
             raise InvalidInputError("factor dimension mismatch")
-        sv = np.linalg.svd(F, compute_uv=False)
-        smax, smin = float(sv[0]), float(sv[-1])
-        if smin <= 0.0:
+        Q = F @ self._Q
+        cond = float(np.linalg.cond(Q))  # inf for a singular product
+        if cond > CONDITION_CAP:
             raise DegenerateTransitionError(
-                "transition factor is numerically singular",
-                condition_estimate=math.inf)
-        est = self.condition_estimate * (smax / smin)
-        if est > CONDITION_CAP:
-            raise DegenerateTransitionError(
-                f"condition estimate {est:.3e} exceeds cap {CONDITION_CAP:.0e}",
-                condition_estimate=est)
-        F = F.copy()
-        F.setflags(write=False)
-        return InverseTransitionProduct(self.dim, self._factors + (F,), est)
+                f"condition number {cond:.3e} of the normalization product "
+                f"exceeds cap {CONDITION_CAP:.0e}", condition_estimate=cond)
+        e = int(np.frexp(np.abs(Q).max())[1])
+        return InverseTransitionProduct(
+            self.dim, _ldexp(Q, -e), self._exp + e, self._count + 1, cond)
 
     def apply(self, v) -> np.ndarray:
         """(L_{m-1} ... L_0)^{-1} v for a vector or each row of an (n, dim)
-        block: one solve per factor, each row a single right-hand side, so
-        a row gets the bits it gets alone.  Always returns a new array."""
+        block: one solve, each row a single right-hand side, so a row gets
+        the bits it gets alone.  Always returns a new array."""
         x = np.array(v, dtype=complex)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise InvalidInputError(f"expected a vector of length {self.dim} "
                                     f"or an (n, {self.dim}) block of rows")
-        x = x[..., None]
-        for F in reversed(self._factors):
-            x = np.linalg.solve(F, x)
-        return x[..., 0]
+        return _ldexp(np.linalg.solve(self._Q, x[..., None])[..., 0],
+                      -self._exp)
 
+
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """x 2^e for a complex array, exact unless a part over- or underflows:
+    the real and imaginary parts scale as one interleaved float array."""
+    return np.ldexp(np.ascontiguousarray(x).view(float), e).view(complex)

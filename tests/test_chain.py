@@ -66,6 +66,31 @@ def test_koebe_limit_at_offschedule_time(chain_for):
     assert abs(cv.value[0] - want) < 1e-6
 
 
+def test_koebe_limit_far_along_the_schedule(chain_for):
+    # by t = 730 the product of 730 factors is about e^-730, past where
+    # doubles lose precision; the value e^t z / (1 - z)^2 is about 1e307
+    ev = chain_for("koebe-1d", N=740)
+    t, z0 = 730.0, 1e-10
+    cv = ev.eval(t, np.array([z0 + 0j]))
+    assert cv.converged
+    want = np.exp(t + np.log(z0) - 2.0 * np.log1p(-z0))
+    assert abs(cv.value[0] - want) <= 1e-9 * want
+
+
+def test_map_time_a_rounding_hair_below_a_node():
+    # u_7 = 10.000000000000002 for m(A) = 0.7: the leg t -> u_7 is too
+    # short to step, and the legs after it start from the usual guess
+    field = F.builtin_field("constant-linear", {"matrix": [[0.7]]})
+    ev = CH.ChainEvaluator(field, S.build_schedule(field.linear, N=30))
+    for t in (10.0, 20.0):
+        m0 = int(np.searchsorted(ev.schedule.u, t))
+        assert 0.0 < ev.schedule.u[m0] - t < 1e-14 * t
+        cv = ev.eval(t, np.array([0.5 + 0j]))
+        assert cv.converged
+        want = 0.5 * np.exp(0.7 * t)
+        assert abs(cv.value[0] - want) <= 1e-9 * want
+
+
 def test_increments_decay_geometrically_inside_radius(chain_for):
     ev = chain_for("koebe-1d")
     sched = ev.schedule

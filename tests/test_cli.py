@@ -505,6 +505,31 @@ def test_chain_stops_on_the_geometric_tail_inside_the_default_horizon(
     assert abs(complex(re, im) - 90.0) <= 1e-8 * 90.0
 
 
+#: a non-normal linear part: each factor's condition number is 2.30, so
+#: the product of those passes 1e12 after 34 factors, while the condition
+#: number of the product of the factors grows like m (2.6e3 at m = 60)
+NON_NORMAL = ("--builtin", "quadratic-perturbation", "--param",
+              "matrix=[[1,0.6],[0,1]]", "--param", "epsilon=0.05",
+              "--points", "[[0.5,0.5]]")
+
+
+def test_chain_on_a_non_normal_field_far_along_the_schedule(capsys):
+    code, payload, _ = run_json(capsys, "chain", *NON_NORMAL, "--t", "50",
+                                "--horizon", "80")
+    assert code == 0
+    assert payload["result"]["converged"] == [True]
+
+
+def test_chain_on_a_non_normal_field_runs_to_its_horizon(capsys):
+    # tol-chain 1e-13 is out of reach: the row marches to u_60 and ends
+    # unconverged, with no degenerate-transition failure on the way
+    code, payload, _ = run_json(capsys, "chain", *NON_NORMAL, "--t", "0",
+                                "--tol-chain", "1e-13", "--horizon", "60")
+    assert code == 2
+    assert payload["result"]["stop_rule"] == ["horizon"]
+    assert payload["result"]["m_used"] == [60]
+
+
 def test_chain_refused_for_mass_ratio_two(capsys):
     code, payload, _ = run_json(
         capsys, "chain", "--builtin", "constant-linear", "--param",

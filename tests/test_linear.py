@@ -448,13 +448,43 @@ def test_inverse_product_condition_from_singular_values():
         acc = InverseTransitionProduct.identity(3).push(F)
         assert acc.condition_estimate == pytest.approx(
             np.linalg.cond(F), rel=1e-6)
+    # the cap applies to the condition number of the product itself
     F = Q1 @ np.diag([1.0, 0.5, 1e-7]) @ Q2
     acc = InverseTransitionProduct.identity(3).push(F)
     with pytest.raises(DegenerateTransitionError) as exc:
         acc.push(F)
     assert exc.value.condition_estimate == pytest.approx(
-        np.linalg.cond(F) ** 2, rel=1e-6)
+        np.linalg.cond(F @ F), rel=1e-6)
     assert exc.value.condition_estimate > 1e12
+
+
+def test_inverse_product_condition_is_that_of_the_product():
+    # for non-normal factors the product of their condition numbers
+    # overstates the condition number of their product
+    rng = np.random.default_rng(17)
+    for q in (2, 3, 8):
+        acc = InverseTransitionProduct.identity(q)
+        total = np.eye(q, dtype=complex)
+        for _ in range(6):
+            F = np.eye(q) + np.triu(_random_complex(rng, q), 1)
+            acc = acc.push(F)
+            total = F @ total
+            assert acc.condition_estimate == pytest.approx(
+                np.linalg.cond(total), rel=1e-6)
+
+
+def test_inverse_product_survives_underflowing_entries():
+    # 800 factors e^-1 shrink the product to e^-800, which underflows to
+    # 0; held as 2^e Q, it still undoes them to rounding
+    F = np.diag([np.exp(-1.0), np.exp(-1.0)]).astype(complex)
+    acc = InverseTransitionProduct.identity(2)
+    for _ in range(800):
+        acc = acc.push(F)
+    x = acc.apply(np.array([1e-300, 2e-300j]))
+    want = np.exp(800.0 + np.log([1e-300, 2e-300]))
+    assert np.allclose([x[0].real, x[1].imag], want, rtol=1e-12, atol=0.0)
+    assert x[0].imag == 0.0 and x[1].real == 0.0
+    assert acc.condition_estimate == pytest.approx(1.0)
 
 
 def test_inverse_product_rejects_singular_factor():
