@@ -49,10 +49,10 @@ import numpy as np
 
 from ._integrate import check_tol
 from .errors import (ChainUnavailableError, HorizonExhaustedError,
-                     InvalidInputError)
+                     InvalidInputError, NumericalFailureError)
 from .fields import FieldSpec, SamplePlan, complex_json
 from .flow import _check_points, _check_times, _evolve_one
-from .linear import InverseTransitionProduct, transition_matrix
+from .linear import InverseTransitionProduct, _ldexp, transition_matrix
 from .schedule import Schedule
 
 #: increments below floor * (1 + |g|) are numerical noise, not signal
@@ -94,6 +94,17 @@ class ChainValue:
     stop_rule: str
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a finite v, finite up to the float range: past 1e150 it is
+    taken on v scaled by an exact power of two, below it has the plain
+    norm's bits (whose overflow warning callers ignore)."""
+    n = float(np.linalg.norm(v))
+    if n <= 1e150:
+        return n
+    e = int(np.frexp(np.abs(v).max())[1])
+    return float(np.ldexp(np.linalg.norm(_ldexp(v, -e)), e))
+
+
 def _steady_ratio(increments: list, bound: float) -> float | None:
     """The latest ratio of four consecutive increment norms, when the
     three ratios agree to within _RATIO_SPREAD and the latest is below
@@ -104,6 +115,17 @@ def _steady_ratio(increments: list, bound: float) -> float | None:
     if max(ratios) > (1.0 + _RATIO_SPREAD) * min(ratios):
         return None
     return ratios[-1] if ratios[-1] < bound else None
+
+
+def _g_m(acc, W: np.ndarray, live, t: float, m: int) -> np.ndarray:
+    """acc.apply(W[live]), the approximants g_m of the live rows; a value
+    past the float range raises NumericalFailureError."""
+    G = acc.apply(W[live])
+    if not np.isfinite(G).all():
+        i = live[~np.isfinite(G).all(axis=1)][0]
+        raise NumericalFailureError(f"the limit map of row {i} at t = {t!r}, "
+                                    f"m = {m} is past the float range")
+    return G
 
 
 class ChainEvaluator:
@@ -149,17 +171,20 @@ class ChainEvaluator:
     def step_factor(self, m: int) -> np.ndarray:
         """Lam_m, the linearization of the step phi_{u_m, u_{m+1}}.
 
-        The first call integrates Lam_0 ... Lam_{N-1} as one block (one
-        ``transition_matrix`` call over all N steps) and keeps them; a
-        racing first call only repeats the same deterministic
-        integration.
+        The first call makes one ``transition_matrix`` call and keeps its
+        factors: on a constant linear part Lam_0 over [u_0, u_1] for every
+        m (every unit-mass step is 1/m(A) long), else the block Lam_0 ...
+        Lam_{N-1}, each bit-identical to its scalar call.  A racing first
+        call only repeats the same deterministic integration.
         """
         if not 0 <= m < self.schedule.horizon_N:
             raise InvalidInputError(f"step index {m} outside schedule")
         if self._factors is None:
             u = np.array(self.schedule.u)
-            self._factors = transition_matrix(self.field.linear, u[:-1],
-                                              u[1:], tol=self.tol_ode)
+            one = self.field.linear.is_constant
+            J = transition_matrix(self.field.linear, u[0] if one else u[:-1],
+                                  u[1] if one else u[1:], tol=self.tol_ode)
+            self._factors = np.broadcast_to(J, (u.size - 1,) + J.shape[-2:])
         return self._factors[m].copy()
 
     # -- evaluation ------------------------------------------------------
@@ -178,6 +203,7 @@ class ChainEvaluator:
         return self.eval_many(t, _check_points(z, self.field.dim,
                                                single=True))[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def eval_many(self, t: float, points) -> list[ChainValue]:
         """Evaluate the time-t limit map at each row of points, |z| < 1.
 
@@ -191,7 +217,8 @@ class ChainEvaluator:
         to tolerance, or with its approximant after two consecutive
         increments below tolerance; if the horizon runs out first it
         keeps its last approximant with converged=False.  Each row's stop
-        state is its own, so batching does not change its bits.
+        state is its own, so batching does not change its bits.  An
+        approximant past the float range raises NumericalFailureError.
         """
         u = self.schedule.u
         N = self.schedule.horizon_N
@@ -215,7 +242,7 @@ class ChainEvaluator:
         acc = InverseTransitionProduct.identity(self.field.dim)
         for j in range(m0):
             acc = acc.push(self.step_factor(j))
-        for i, g in zip(live, acc.apply(W[live])):
+        for i, g in zip(live, _g_m(acc, W, live, t, m0)):
             out[i] = ChainValue(value=g, m_used=m0, last_increment=0.0,
                                 converged=False, history=(),
                                 error_estimate=0.0, stop_rule="horizon")
@@ -231,18 +258,17 @@ class ChainEvaluator:
             acc = acc.push(self.step_factor(m))
             m += 1
             keep = []
-            for k, (i, g) in enumerate(zip(live, acc.apply(W[live]))):
+            for k, (i, g) in enumerate(zip(live, _g_m(acc, W, live, t, m))):
                 d = g - out[i].value
-                inc = float(np.linalg.norm(d))
-                tol = max(self.tol_chain,
-                          INCREMENT_FLOOR * (1.0 + float(np.linalg.norm(g))))
+                inc = _norm(d)
+                tol = max(self.tol_chain, INCREMENT_FLOOR * (1.0 + _norm(g)))
                 history = out[i].history + (
                     (m, float(np.linalg.norm(W[i])), inc),)
                 small_run[i] = small_run[i] + 1 if inc <= tol else 0
                 rho = _steady_ratio([row[2] for row in history[-4:]], bound)
                 tail = None if rho is None else g + d * (rho / (1.0 - rho))
                 change = (None if tail is None or tails[i] is None
-                          else float(np.linalg.norm(tail - tails[i])))
+                          else _norm(tail - tails[i]))
                 tails[i] = tail
                 if change is not None and change <= tol:
                     value, estimate, rule = tail, change, "geometric-tail"

@@ -518,7 +518,7 @@ def _cmd_range(args, field: FieldSpec) -> tuple[dict, int, dict]:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write(directory: str, name: str, text: str) -> str:

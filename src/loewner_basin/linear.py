@@ -557,7 +557,8 @@ class InverseTransitionProduct:
         if F.shape[0] != self.dim:
             raise InvalidInputError("factor dimension mismatch")
         Q = F @ self._Q
-        cond = float(np.linalg.cond(Q))  # inf for a singular product
+        s = np.linalg.svd(Q, compute_uv=False)  # np.linalg.cond's ratio
+        cond = float(s[0] / s[-1]) if s[-1] > 0.0 else np.inf
         if cond > CONDITION_CAP:
             raise DegenerateTransitionError(
                 f"condition number {cond:.3e} of the normalization product "

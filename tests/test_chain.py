@@ -68,13 +68,30 @@ def test_koebe_limit_at_offschedule_time(chain_for):
 
 def test_koebe_limit_far_along_the_schedule(chain_for):
     # by t = 730 the product of 730 factors is about e^-730, past where
-    # doubles lose precision; the value e^t z / (1 - z)^2 is about 1e307
-    ev = chain_for("koebe-1d", N=740)
+    # doubles lose precision; the value e^t z / (1 - z)^2 is about 1e307,
+    # whose increments need norms that do not overflow: the row stops
+    # on two increments below 1e-13 |g| after 13 legs
+    ev = chain_for("koebe-1d", N=760)
     t, z0 = 730.0, 1e-10
     cv = ev.eval(t, np.array([z0 + 0j]))
     assert cv.converged
     want = np.exp(t + np.log(z0) - 2.0 * np.log1p(-z0))
     assert abs(cv.value[0] - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("t, z0, tol", [
+    (100.0, 0.5, 1e-10), (300.0, 0.5, 1e-10), (460.0, 0.5, 1e-9)],
+    ids=["t100", "t300", "t460"])
+def test_koebe_limit_at_large_values(t, z0, tol):
+    # f_t(0.5) = 2 e^t is 5e43, 4e130 and 2e200; past 1.3e154 a plain
+    # 2-norm's squares overflow, and an infinite tolerance passed any row
+    field = F.builtin_field("koebe-1d")
+    ev = CH.ChainEvaluator(field, S.build_schedule(field.linear,
+                                                   N=int(t) + 40))
+    cv = ev.eval(t, np.array([z0 + 0j]))
+    assert cv.converged and cv.value[0].imag == 0.0
+    want = t + np.log(z0) - 2.0 * np.log1p(-z0)
+    assert abs(np.log(cv.value[0].real) - want) <= tol
 
 
 def test_map_time_a_rounding_hair_below_a_node():
@@ -354,7 +371,14 @@ def test_batched_factors_match_one_at_a_time(make):
     for m in range(8):
         lone = transition_matrix(field.linear, u[m], u[m + 1], tol=1e-10)
         assert lone.shape == (field.dim, field.dim)
-        assert ev.step_factor(m).tobytes() == lone.tobytes(), m
+        if field.linear.is_constant:
+            # one factor e^{-A/m(A)} serves every unit-mass step; each
+            # step's own factor differs only by the rounding of its u
+            assert ev.step_factor(m).tobytes() == ev.step_factor(0).tobytes()
+            assert (np.max(np.abs(ev.step_factor(m) - lone))
+                    <= 1e-13 * np.max(np.abs(lone))), m
+        else:
+            assert ev.step_factor(m).tobytes() == lone.tobytes(), m
     # a scalar start with an array of ends gives the same stack
     ends = np.array(u[1:4])
     stack = transition_matrix(field.linear, u[0], ends, tol=1e-10)
@@ -364,9 +388,9 @@ def test_batched_factors_match_one_at_a_time(make):
                                                 tol=1e-10).tobytes()
 
 
-def test_one_transition_call_per_evaluator(monkeypatch):
-    # every consumer of the factors shares one block integration; a return
-    # to per-factor integrator calls fails here
+def _counted_transition_calls(monkeypatch) -> list:
+    """The (s, t) of every transition_matrix call the chain makes from
+    here on."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -374,11 +398,29 @@ def test_one_transition_call_per_evaluator(monkeypatch):
         return transition_matrix(*args, **kwargs)
 
     monkeypatch.setattr(CH, "transition_matrix", counted)
+    return calls
+
+
+def test_one_transition_call_per_evaluator(monkeypatch):
+    # every consumer of the factors shares one integration, on a constant
+    # linear part of the one step u_0 -> u_1; a return to per-factor
+    # integrator calls fails here
+    calls = _counted_transition_calls(monkeypatch)
     field = F.builtin_field("quadratic-perturbation", {"dim": 2})
     ev = CH.ChainEvaluator(field, S.build_schedule(field.linear, N=20))
     ev.eval_many(0.3, np.array([[0.2, 0.1j], [0.0, 0.4]]))
     ev.pde_residual(0.5, np.array([0.1, 0.2j]))
     ev.range_sample(0.4, directions=2)
+    u = ev.schedule.u
+    assert calls == [(u[0], u[1])] and np.ndim(calls[0][0]) == 0
+
+
+def test_one_block_transition_call_on_a_varying_path(monkeypatch):
+    calls = _counted_transition_calls(monkeypatch)
+    field = F.parse_field_config(TRIG_FILE_FIELD)
+    ev = CH.ChainEvaluator(field, S.build_schedule(field.linear, N=20))
+    ev.eval_many(0.3, np.array([[0.2, 0.1j], [0.0, 0.4]]))
+    ev.eval_many(0.5, np.array([[0.1, 0.2j]]))
     assert len(calls) == 1
     s, t = calls[0]
     assert np.shape(s) == np.shape(t) == (20,)

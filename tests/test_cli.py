@@ -294,6 +294,23 @@ def test_non_finite_samples_exit_3_with_valid_json(capsys, tmp_path):
     assert "not finite at t = " in payload["error"]["message"]
 
 
+def test_chain_past_the_float_range_exit_3(capsys):
+    # f_730(0.5) = 2 e^730 is past 1.8e308: a typed error naming the row,
+    # t and m, in a payload without Infinity or NaN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "chain", "--builtin", "koebe-1d",
+                             "--t", "730", "--points", "[[0.5]]",
+                             "--horizon", "760")
+    assert code == 3 and err == "" and not caught
+    payload = _strict_json(out)
+    assert payload["status"] == "failed"
+    assert payload["error"]["type"] == "NumericalFailureError"
+    assert "row 0 at t = 730.0, m = 730 " in payload["error"]["message"]
+    with pytest.raises(ValueError):
+        cli._dumps({"value": float("inf")})
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

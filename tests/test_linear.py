@@ -473,6 +473,27 @@ def test_inverse_product_condition_is_that_of_the_product():
                 np.linalg.cond(total), rel=1e-6)
 
 
+def test_inverse_product_condition_is_numpys_bit_for_bit():
+    # one bare SVD per push gives the bits np.linalg.cond gives on the
+    # same product, for random factors and for the factor e^{-A} of the
+    # non-normal A = [[1, 0.6], [0, 1]] pushed 60 times
+    rng = np.random.default_rng(23)
+    non_normal = LinearPath.constant([[1.0, 0.6], [0.0, 1.0]])
+    cases = [[np.eye(q) + 0.3 * _random_complex(rng, q) for _ in range(8)]
+             for q in (1, 2, 3, 8)]
+    cases.append([transition_matrix(non_normal, 0.0, 1.0)] * 60)
+    for factors in cases:
+        acc = InverseTransitionProduct.identity(factors[0].shape[0])
+        for F in factors:
+            Q = F @ acc._Q
+            acc = acc.push(F)
+            assert acc.condition_estimate == float(np.linalg.cond(Q))
+    # a singular product reads inf, as in np.linalg.cond, and is refused
+    with pytest.raises(DegenerateTransitionError) as exc:
+        InverseTransitionProduct.identity(2).push(np.zeros((2, 2)))
+    assert exc.value.condition_estimate == np.inf
+
+
 def test_inverse_product_survives_underflowing_entries():
     # 800 factors e^-1 shrink the product to e^-800, which underflows to
     # 0; held as 2^e Q, it still undoes them to rounding
